@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import functools
 import json
 import sys
+import traceback
 from importlib import resources
 from pathlib import Path
 
@@ -30,6 +32,20 @@ def _run_one(config_path: str, output_dir: str | None) -> dict:
     return run_experiment(config, output_dir=output_dir)
 
 
+def _report(cfg_path: str, result) -> int:
+    """Print one job's summary, or its error on stderr; return 1 if the job
+    failed, 2 if it ended with a status other than ok, 0 otherwise."""
+    try:
+        summary = result()
+    except Exception as exc:  # one job's failure must not stop the others
+        if not isinstance(exc, ConfigError):
+            traceback.print_exc()
+        print(f"error: {cfg_path}: {exc}", file=sys.stderr)
+        return 1
+    print(json.dumps(summary, sort_keys=True))
+    return 0 if summary["status"] == "ok" else 2
+
+
 def _cmd_run(args) -> int:
     jobs = []
     multi = len(args.config) > 1
@@ -38,22 +54,14 @@ def _cmd_run(args) -> int:
         if out is not None and multi:
             out = str(Path(out) / Path(cfg_path).stem)
         jobs.append((cfg_path, out))
-    status = 0
     if args.jobs > 1 and multi:
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
             futures = {pool.submit(_run_one, c, o): c for c, o in jobs}
-            for fut in concurrent.futures.as_completed(futures):
-                summary = fut.result()
-                print(json.dumps(summary, sort_keys=True))
-                if summary["status"] != "ok":
-                    status = 2
+            done = concurrent.futures.as_completed(futures)
+            codes = [_report(futures[f], f.result) for f in done]
     else:
-        for cfg_path, out in jobs:
-            summary = _run_one(cfg_path, out)
-            print(json.dumps(summary, sort_keys=True))
-            if summary["status"] != "ok":
-                status = 2
-    return status
+        codes = [_report(c, functools.partial(_run_one, c, o)) for c, o in jobs]
+    return 1 if 1 in codes else 2 if 2 in codes else 0
 
 
 def _cmd_presets(args) -> int:
@@ -96,11 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    return args.func(args)
 
 
 if __name__ == "__main__":

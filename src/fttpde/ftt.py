@@ -30,7 +30,8 @@ def _check_same_domain(a: "FttTensor", b: "FttTensor") -> None:
 class FttTensor:
     """Tensor train over a Domain.
 
-    Operations never mutate their inputs; they return fresh tensors.
+    Operations never mutate their inputs or write into core arrays; results
+    may share unchanged cores with their inputs.
     ``left_orth_upto``/``right_orth_from`` record which cores are known
     weighted-orthonormal (cores 1..L from the left, cores R..d from the
     right, 1-based); they are hints that let downstream sweeps skip
@@ -69,29 +70,6 @@ class FttTensor:
     @property
     def ranks(self) -> tuple[int, ...]:
         return (1,) + tuple(c.shape[2] for c in self.cores)
-
-    @property
-    def orth_flag(self) -> str:
-        d = self.ndim
-        left = self.left_orth_upto >= d - 1
-        right = self.right_orth_from <= 2
-        if left and not right:
-            return "left"
-        if right and not left:
-            return "right"
-        if left and right:
-            return "left"
-        if self.left_orth_upto > 0 or self.right_orth_from <= self.ndim:
-            return f"mixed({self.left_orth_upto})"
-        return "none"
-
-    def copy(self) -> "FttTensor":
-        return FttTensor(
-            [c.copy() for c in self.cores],
-            self.domain,
-            self.left_orth_upto,
-            self.right_orth_from,
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +122,7 @@ def orthogonalize(u: FttTensor, direction: str, pivot: int):
     d = u.ndim
     if not 1 <= pivot <= d:
         raise ValueError(f"pivot {pivot} out of range 1..{d}")
-    cores = [c.copy() for c in u.cores]
+    cores = list(u.cores)
     if direction == "left":
         r = np.eye(1)
         for k in range(pivot):
@@ -245,7 +223,7 @@ def to_full(u: FttTensor) -> np.ndarray:
 
 def scale(a: FttTensor, c: float) -> FttTensor:
     """Multiply by a scalar by scaling the first core only."""
-    cores = [a.cores[0] * c] + [k.copy() for k in a.cores[1:]]
+    cores = [a.cores[0] * c, *a.cores[1:]]
     return FttTensor(cores, a.domain, right_orth_from=a.right_orth_from)
 
 
@@ -259,7 +237,7 @@ def _block_sum(terms: list[FttTensor]) -> FttTensor:
     dom = terms[0].domain
     d = dom.ndim
     if len(terms) == 1:
-        return terms[0].copy()
+        return terms[0]
     cores: list[np.ndarray] = []
     for k in range(d):
         blocks = [t.cores[k] for t in terms]
@@ -335,7 +313,9 @@ def truncate(u: FttTensor, tol: float, max_ranks=None):
     if nrm == 0.0:
         return _zero_like(u.domain), [np.zeros(1) for _ in range(d - 1)]
     delta = tol * nrm / np.sqrt(d - 1)
-    cores = [c.copy() for c in v.cores]
+    # the right sweep leaves cores in Fortran order; the products below round
+    # differently for the two layouts, so they always see C order
+    cores = [np.ascontiguousarray(c) for c in v.cores]
     schmidt: list[np.ndarray] = []
     for k in range(d - 1):
         g = u.domain.axes[k]

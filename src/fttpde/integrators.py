@@ -33,15 +33,12 @@ class HistoryNotReadyError(RuntimeError):
 @dataclass(frozen=True)
 class IntegratorConfig:
     dt: float
-    t_final: float
     eps_inc: float = math.inf
     eps_dec: float = 1e-12
     dec_period: int = 100
     bdf_points: int = 2
     scheme: str = "lie_trotter"
     max_ranks: tuple[int, ...] | None = None
-    relative_normal: bool = False
-    st_increment: str = "euler"
 
     def __post_init__(self):
         if self.dt <= 0:
@@ -130,31 +127,10 @@ def lie_trotter_step(u: FttTensor, delta_u: FttTensor) -> FttTensor:
 # ---------------------------------------------------------------------------
 # step-truncation
 
-def step_truncation_step(
-    u: FttTensor,
-    rhs: RhsEvaluator,
-    dt: float,
-    tol: float,
-    max_ranks=None,
-    increment: str = "euler",
-    t: float = 0.0,
-) -> FttTensor:
-    """Explicit full-space step followed by rounding back to low rank."""
-    if increment == "euler":
-        phi = eval_rhs(rhs, u, t)
-    elif increment == "rk4":
-        k1 = eval_rhs(rhs, u, t)
-        u2, _ = truncate(add(u, scale(k1, dt / 2)), tol)
-        k2 = eval_rhs(rhs, u2, t + dt / 2)
-        u3, _ = truncate(add(u, scale(k2, dt / 2)), tol)
-        k3 = eval_rhs(rhs, u3, t + dt / 2)
-        u4, _ = truncate(add(u, scale(k3, dt)), tol)
-        k4 = eval_rhs(rhs, u4, t + dt)
-        acc = add(add(k1, scale(k2, 2.0)), add(scale(k3, 2.0), k4))
-        phi, _ = truncate(scale(acc, 1.0 / 6.0), tol)
-    else:
-        raise ValueError(f"increment must be 'euler' or 'rk4', got {increment!r}")
-    out, _ = truncate(add(u, scale(phi, dt)), tol, max_ranks)
+def step_truncation_step(u: FttTensor, delta_u: FttTensor, tol: float, max_ranks=None) -> FttTensor:
+    """Full-space step u + delta_u rounded back to low rank at relative
+    tolerance tol, with interface ranks capped by max_ranks (length d+1)."""
+    out, _ = truncate(add(u, delta_u), tol, max_ranks)
     return out
 
 
@@ -206,7 +182,7 @@ def adaptive_step(state: AdaptiveState, rhs: RhsEvaluator, config: IntegratorCon
     rank every dec_period steps."""
     dt = config.dt
     u = state.u
-    g = eval_rhs(rhs, u, state.t)
+    g = eval_rhs(rhs, u)
 
     normal_norm = None
     event = "none"
@@ -233,24 +209,16 @@ def adaptive_step(state: AdaptiveState, rhs: RhsEvaluator, config: IntegratorCon
                         est_err,
                     )
                     state.eps_inc_warned = True
-            threshold_value = normal_norm
-            if config.relative_normal:
-                threshold_value = normal_norm / max(norm(u), 1e-300)
-            if threshold_value > config.eps_inc:
+            if normal_norm > config.eps_inc:
                 n_compressed, _ = truncate(n_tensor, 1e-2)
                 before = _interior_rank_sum(u)
                 u = zero_pad(u, n_compressed)
                 added = _interior_rank_sum(u) - before
                 event = f"inc:{added}"
-                g = eval_rhs(rhs, u, state.t)
+                g = eval_rhs(rhs, u)
 
     if config.scheme == "step_truncation":
-        if config.st_increment == "rk4":
-            u_new = step_truncation_step(
-                u, rhs, dt, config.eps_dec, config.max_ranks, "rk4", state.t
-            )
-        else:
-            u_new, _ = truncate(add(u, scale(g, dt)), config.eps_dec, config.max_ranks)
+        u_new = step_truncation_step(u, scale(g, dt), config.eps_dec, config.max_ranks)
     else:
         u_new = lie_trotter_step(u, scale(g, dt))
         if (

@@ -2,17 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .ftt import FttTensor, _block_sum, from_full, to_full, truncate
+from .ftt import FttTensor, _block_sum, truncate
 from .grids import Domain, ShapeError
-
-
-class DensifyBudgetError(RuntimeError):
-    """Dense evaluation requested on a grid larger than the densify budget."""
 
 
 @dataclass(frozen=True)
@@ -34,6 +30,9 @@ class SeparableOperator:
     @property
     def rank(self) -> int:
         return len(self.terms)
+
+    def __call__(self, u: FttTensor) -> FttTensor:
+        return apply_separable(self, u)
 
 
 def separable(terms: Sequence[Sequence[np.ndarray | None]], labels=None) -> SeparableOperator:
@@ -58,7 +57,7 @@ def apply_separable(op: SeparableOperator, u: FttTensor) -> FttTensor:
         cores = []
         for mat, core in zip(term, u.cores):
             if mat is None:
-                cores.append(core.copy())
+                cores.append(core)
             else:
                 cores.append(np.tensordot(mat, core, axes=(1, 1)).transpose(1, 0, 2))
         pieces.append(FttTensor(cores, u.domain))
@@ -87,39 +86,19 @@ def apply_separable_dense(op: SeparableOperator, values: np.ndarray) -> np.ndarr
 class RhsEvaluator:
     """Evaluator for du/dt = G(u) returning tensor trains.
 
-    kind='separable' applies `op` and truncates at g_tol; kind='composite'
-    calls `composite_fn(u)` (built from TT arithmetic) and truncates;
-    kind='dense' densifies, applies `dense_fn`, and recompresses -- only
-    allowed while the total grid size stays within densify_budget.
+    `op` maps a tensor train to the unrounded G(u): a SeparableOperator, or
+    any function built from tensor-train arithmetic.  eval_rhs rounds its
+    result at relative tolerance g_tol.
     """
 
     domain: Domain
-    kind: str
-    op: SeparableOperator | None = None
-    dense_fn: Callable[[np.ndarray], np.ndarray] | None = None
-    composite_fn: Callable[[FttTensor], FttTensor] | None = None
+    op: Callable[[FttTensor], FttTensor]
     g_tol: float = 1e-10
-    densify_budget: int = 1 << 22
-    params: dict = field(default_factory=dict)
 
 
-def eval_rhs(rhs: RhsEvaluator, u: FttTensor, t: float = 0.0) -> FttTensor:
+def eval_rhs(rhs: RhsEvaluator, u: FttTensor) -> FttTensor:
     """Evaluate G(u) as a tensor train truncated to g_tol relative error."""
     if not rhs.domain.matches(u.domain):
         raise ShapeError("tensor does not live on the evaluator's domain")
-    if rhs.kind == "separable":
-        raw = apply_separable(rhs.op, u)
-    elif rhs.kind == "composite":
-        raw = rhs.composite_fn(u)
-    elif rhs.kind == "dense":
-        total = int(np.prod(u.domain.shape))
-        if total > rhs.densify_budget:
-            raise DensifyBudgetError(
-                f"grid has {total} points, densify budget is {rhs.densify_budget}"
-            )
-        dense = rhs.dense_fn(to_full(u))
-        return from_full(dense, u.domain, rhs.g_tol)
-    else:
-        raise ValueError(f"unknown evaluator kind {rhs.kind!r}")
-    out, _ = truncate(raw, rhs.g_tol)
+    out, _ = truncate(rhs.op(u), rhs.g_tol)
     return out

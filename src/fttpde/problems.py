@@ -5,6 +5,7 @@ reference solver."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -16,7 +17,6 @@ from .integrators import rk4_dense_step
 from .operators import (
     RhsEvaluator,
     SeparableOperator,
-    apply_separable,
     apply_separable_dense,
     separable,
 )
@@ -70,18 +70,27 @@ class DenseRk4Reference(ReferenceSolver):
     def __init__(self, domain: Domain, rhs_dense, u0: np.ndarray, dt_ref: float):
         self.domain = domain
         self.rhs_dense = rhs_dense
-        self.u0 = u0.copy()
         self.dt_ref = dt_ref
         self._t = 0.0
         self._u = u0.copy()
 
     def solution(self, t: float) -> np.ndarray:
-        if t < self._t - 1e-12:
+        """State at exactly time t: whole dt_ref steps, then one shorter step
+        when the time left is not a whole number of them."""
+        span = t - self._t
+        if span < -1e-12:
             raise ValueError(f"reference already advanced past t={t}")
-        n_steps = int(round((t - self._t) / self.dt_ref))
+        ratio = max(span, 0.0) / self.dt_ref
+        n_steps = int(round(ratio))
+        rest = 0.0
+        if abs(ratio - n_steps) > 1e-9 * max(ratio, 1.0):
+            n_steps = math.floor(ratio)
+            rest = span - n_steps * self.dt_ref
         for _ in range(n_steps):
             self._u = rk4_dense_step(self._u, self.rhs_dense, self.dt_ref)
-        self._t += n_steps * self.dt_ref
+        if rest:
+            self._u = rk4_dense_step(self._u, self.rhs_dense, rest)
+        self._t = t
         return self._u.copy()
 
 
@@ -128,7 +137,11 @@ def _advection_ic(x1, x2):
     return np.exp(np.sin(x1 + x2))
 
 
-def advection2d(n: int = 81) -> ProblemSpec:
+def _advection_velocity(pos):
+    return np.stack([np.sin(pos[0]) + np.cos(pos[1]), np.cos(pos[1])])
+
+
+def advection2d(n: int = 81, reference_dt: float = 1e-3) -> ProblemSpec:
     """du/dt = (sin x1 + cos x2) d1u + cos x2 d2u on the 2-torus."""
     dom = torus_domain(2, n)
     g1, g2 = dom.axes
@@ -146,12 +159,9 @@ def advection2d(n: int = 81) -> ProblemSpec:
     )
     x1, x2 = np.meshgrid(g1.nodes, g2.nodes, indexing="ij")
     initial = from_full(_advection_ic(x1, x2), dom, 0.0, max_ranks=(1, 15, 1))
-    rhs = RhsEvaluator(domain=dom, kind="separable", op=op)
+    rhs = RhsEvaluator(domain=dom, op=op)
     reference = CharacteristicsReference(
-        dom,
-        lambda pos: np.stack([np.sin(pos[0]) + np.cos(pos[1]), np.cos(pos[1])]),
-        _advection_ic,
-        ode_dt=1e-3,
+        dom, _advection_velocity, _advection_ic, ode_dt=reference_dt
     )
     return ProblemSpec("advection2d", dom, rhs, initial, reference)
 
@@ -163,12 +173,7 @@ def advection2d_reference(domain: Domain, t: float, ode_dt: float = 1e-3) -> np.
     (the inverse of the flow along which the solution is transported), then
     the initial profile is evaluated there.
     """
-    ref = CharacteristicsReference(
-        domain,
-        lambda pos: np.stack([np.sin(pos[0]) + np.cos(pos[1]), np.cos(pos[1])]),
-        _advection_ic,
-        ode_dt=ode_dt,
-    )
+    ref = CharacteristicsReference(domain, _advection_velocity, _advection_ic, ode_dt=ode_dt)
     return ref.solution(t)
 
 
@@ -188,7 +193,9 @@ def advection2d_rhs_dense(domain: Domain) -> Callable[[np.ndarray], np.ndarray]:
 # ---------------------------------------------------------------------------
 # 2D Kuramoto-Sivashinsky
 
-def kse2d(n: int = 33, nu1: float = 0.25, nu2: float = 0.04) -> ProblemSpec:
+def kse2d(
+    n: int = 33, nu1: float = 0.25, nu2: float = 0.04, reference_dt: float = 1e-5
+) -> ProblemSpec:
     """du/dt = -1/2 |grad_nu u|^2 - lap_nu u - nu1 lap_nu^2 u on the 2-torus,
     with the anisotropy nu = nu2/nu1 entering the y-direction operators."""
     nu = nu2 / nu1
@@ -208,12 +215,12 @@ def kse2d(n: int = 33, nu1: float = 0.25, nu2: float = 0.04) -> ProblemSpec:
     )
 
     def composite(u: FttTensor) -> FttTensor:
-        ux = apply_separable(op_dx, u)
-        uy = apply_separable(op_dy, u)
+        ux = op_dx(u)
+        uy = op_dy(u)
         sq_x, _ = truncate(hadamard(ux, ux), 1e-12)
         sq_y, _ = truncate(hadamard(uy, uy), 1e-12)
         grad_sq = add(sq_x, scale(sq_y, nu**2))
-        lin = apply_separable(op_lin, u)
+        lin = op_lin(u)
         return add(scale(grad_sq, -0.5), lin)
 
     x1, x2 = np.meshgrid(g1.nodes, g2.nodes, indexing="ij")
@@ -227,9 +234,8 @@ def kse2d(n: int = 33, nu1: float = 0.25, nu2: float = 0.04) -> ProblemSpec:
         bilap = d4 @ u + 2.0 * nu * (d2 @ u @ d2.T) + nu**2 * (u @ d4.T)
         return -0.5 * (ux**2 + nu**2 * uy**2) - lap - nu1 * bilap
 
-    rhs = RhsEvaluator(domain=dom, kind="composite", composite_fn=composite,
-                       params={"nu1": nu1, "nu2": nu2, "nu": nu})
-    reference = DenseRk4Reference(dom, rhs_dense, ic, dt_ref=1e-5)
+    rhs = RhsEvaluator(domain=dom, op=composite)
+    reference = DenseRk4Reference(dom, rhs_dense, ic, dt_ref=reference_dt)
     return ProblemSpec(
         "kse2d", dom, rhs, initial, reference, params={"nu1": nu1, "nu2": nu2, "nu": nu}
     )
@@ -271,7 +277,9 @@ def fp4d_operator(domain: Domain, alpha: float, beta: float, k: float) -> Separa
     return separable(terms, labels=labels)
 
 
-def fp4d(n: int = 21, alpha: float = 0.1, beta: float = 2.0, k: float = 1.0) -> ProblemSpec:
+def fp4d(
+    n: int = 21, alpha: float = 0.1, beta: float = 2.0, k: float = 1.0, reference_dt: float = 1e-3
+) -> ProblemSpec:
     """dp/dt = L p on the 4-torus with sinusoidal drift and g^2 = 1 + k sin
     diffusion coefficients; the initial profile is a rank-1 product of sines
     normalized by its L1 norm (integral of |sin| is 4 per axis, so 256)."""
@@ -280,13 +288,12 @@ def fp4d(n: int = 21, alpha: float = 0.1, beta: float = 2.0, k: float = 1.0) -> 
     grids = np.meshgrid(*[g.nodes for g in dom.axes], indexing="ij")
     dense_ic = np.sin(grids[0]) * np.sin(grids[1]) * np.sin(grids[2]) * np.sin(grids[3]) / 256.0
     initial = from_full(dense_ic, dom, 1e-12)
-    rhs = RhsEvaluator(domain=dom, kind="separable", op=op,
-                       params={"alpha": alpha, "beta": beta, "k": k})
+    rhs = RhsEvaluator(domain=dom, op=op)
 
     def rhs_dense(p):
         return apply_separable_dense(op, p)
 
-    reference = DenseRk4Reference(dom, rhs_dense, dense_ic, dt_ref=1e-3)
+    reference = DenseRk4Reference(dom, rhs_dense, dense_ic, dt_ref=reference_dt)
     return ProblemSpec(
         "fp4d", dom, rhs, initial, reference, params={"alpha": alpha, "beta": beta, "k": k}
     )
@@ -299,8 +306,11 @@ PROBLEM_BUILDERS = {
 }
 
 
-def build_problem(name: str, n: int | None = None) -> ProblemSpec:
+def build_problem(
+    name: str, n: int | None = None, reference_dt: float | None = None
+) -> ProblemSpec:
+    """Build a benchmark problem; n and reference_dt default to the builder's own."""
     if name not in PROBLEM_BUILDERS:
         raise ValueError(f"unknown problem {name!r}; choose from {sorted(PROBLEM_BUILDERS)}")
-    builder = PROBLEM_BUILDERS[name]
-    return builder() if n is None else builder(n=n)
+    kwargs = {"n": n, "reference_dt": reference_dt}
+    return PROBLEM_BUILDERS[name](**{k: v for k, v in kwargs.items() if v is not None})

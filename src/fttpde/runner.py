@@ -12,15 +12,8 @@ import numpy as np
 
 from .ftt import to_full, truncate
 from .integrators import AdaptiveState, IntegratorConfig, adaptive_step
-from .problems import (
-    CharacteristicsReference,
-    DenseRk4Reference,
-    build_problem,
-    l2_error,
-)
+from .problems import build_problem, l2_error
 from . import snapshots
-
-REFERENCE_DT_DEFAULTS = {"advection2d": 1e-3, "kse2d": 1e-5, "fp4d": 1e-3}
 
 
 class ConfigError(ValueError):
@@ -75,28 +68,28 @@ def parse_config(path) -> RunConfig:
     """
     path = Path(path)
     if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
+        raise ConfigError("config file not found")
     values: dict = {}
     for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
+            raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, _, val = line.partition("=")
         key = key.strip()
         val = val.strip()
         if key not in _PARSERS:
-            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+            raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in values:
-            raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
+            raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         try:
             values[key] = _PARSERS[key](val)
         except (ValueError, KeyError) as exc:
-            raise ConfigError(f"{path}:{lineno}: bad value for key {key!r}: {val!r}") from exc
+            raise ConfigError(f"line {lineno}: bad value for key {key!r}: {val!r}") from exc
     missing = [k for k in _REQUIRED_KEYS if k not in values]
     if missing:
-        raise ConfigError(f"{path}: missing required keys: {', '.join(missing)}")
+        raise ConfigError(f"missing required keys: {', '.join(missing)}")
     return RunConfig(**values)
 
 
@@ -104,14 +97,35 @@ def _fmt(x) -> str:
     return "" if x is None else repr(float(x))
 
 
-def _reconfigure_reference(reference, dt: float):
-    if isinstance(reference, CharacteristicsReference):
-        return CharacteristicsReference(
-            reference.domain, reference.velocity, reference.ic_fn, ode_dt=dt
+def _validated_setup(config: RunConfig):
+    """Build the problem, the integrator settings and the step count, raising
+    ConfigError for any invalid value before a run writes anything."""
+    if config.reference_dt is not None and not config.reference_dt > 0:
+        raise ConfigError(f"reference_dt must be positive, got {config.reference_dt}")
+    try:
+        # unknown problem, too few grid points, or a value IntegratorConfig rejects
+        problem = build_problem(config.problem, n=config.n, reference_dt=config.reference_dt)
+        integ = IntegratorConfig(
+            dt=config.dt,
+            eps_inc=config.eps_inc,
+            eps_dec=config.eps_dec,
+            dec_period=config.dec_period,
+            bdf_points=config.bdf_points,
+            scheme=config.scheme,
+            max_ranks=config.max_ranks,
         )
-    if isinstance(reference, DenseRk4Reference):
-        return DenseRk4Reference(reference.domain, reference.rhs_dense, reference.u0, dt_ref=dt)
-    raise TypeError(f"unknown reference type {type(reference)!r}")
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    d = problem.domain.ndim
+    mr = config.max_ranks
+    if mr is not None and (len(mr) != d + 1 or mr[0] != 1 or mr[-1] != 1 or min(mr) < 1):
+        raise ConfigError(
+            f"max_ranks must be {d + 1} positive ranks starting and ending with 1, got {mr}"
+        )
+    ratio = config.t_final / config.dt
+    if not (math.isfinite(ratio) and abs(ratio - round(ratio)) <= 1e-9 * ratio):
+        raise ConfigError(f"t_final / dt = {ratio!r} is not a nonnegative whole number of steps")
+    return problem, integ, round(ratio)
 
 
 def _tensor_is_finite(u) -> bool:
@@ -125,11 +139,10 @@ def run_experiment(config: RunConfig, output_dir=None) -> dict:
     Returns the summary dict; summary["status"] is "ok" on completion and
     "nan" if the solution left the finite range (the last finite state is
     preserved as snapshot_lastgood.fttsnap)."""
+    t_start = time.perf_counter()
+    problem, integ, n_steps = _validated_setup(config)
     out = Path(output_dir or config.output_dir or ".")
     out.mkdir(parents=True, exist_ok=True)
-    t_start = time.perf_counter()
-
-    problem = build_problem(config.problem, n=config.n)
     dom = problem.domain
     d = dom.ndim
 
@@ -137,22 +150,7 @@ def run_experiment(config: RunConfig, output_dir=None) -> dict:
     if config.max_ranks is not None:
         u0, _ = truncate(u0, 0.0, max_ranks=config.max_ranks)
 
-    reference = None
-    if config.reference:
-        ref_dt = config.reference_dt or REFERENCE_DT_DEFAULTS.get(config.problem, config.dt)
-        reference = _reconfigure_reference(problem.reference, ref_dt)
-
-    integ = IntegratorConfig(
-        dt=config.dt,
-        t_final=config.t_final,
-        eps_inc=config.eps_inc,
-        eps_dec=config.eps_dec,
-        dec_period=config.dec_period,
-        bdf_points=config.bdf_points,
-        scheme=config.scheme,
-        max_ranks=config.max_ranks,
-    )
-    n_steps = int(round(config.t_final / config.dt))
+    reference = problem.reference if config.reference else None
     snap_every = config.snapshot_every if config.snapshot_every > 0 else n_steps
 
     with open(out / "run.log", "w") as fh:

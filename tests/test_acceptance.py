@@ -148,7 +148,7 @@ def test_criterion_3_consistency_slope():
     # evolve to a representative state first: at the initial condition the
     # velocity is exactly tangent (Fourier-mode bases), which pushes the
     # one-step difference into a higher-order regime
-    cfg = IntegratorConfig(dt=1e-3, t_final=1.0, scheme="fixed_rank", dec_period=0)
+    cfg = IntegratorConfig(dt=1e-3, scheme="fixed_rank", dec_period=0)
     state = AdaptiveState.initial(prob.initial)
     for _ in range(1000):
         state = adaptive_step(state, prob.rhs, cfg)
@@ -158,7 +158,7 @@ def test_criterion_3_consistency_slope():
     for dt in dts:
         g = eval_rhs(prob.rhs, u)
         lie = lie_trotter_step(u, scale(g, dt))
-        st = step_truncation_step(u, prob.rhs, dt, 0.0, max_ranks=u.ranks)
+        st = step_truncation_step(u, scale(g, dt), 0.0, max_ranks=u.ranks)
         diffs.append(norm(add(lie, scale(st, -1.0))))
     slope = float(np.polyfit(np.log(dts), np.log(diffs), 1)[0])
     report(3, 1.8 <= slope <= 2.2, f"fitted slope {slope:.3f} over dt={dts}", time.perf_counter() - t0, 120)
@@ -174,9 +174,7 @@ def test_criterion_4_adaptive_order():
     dts = [4e-3, 2e-3, 1e-3, 5e-4]
     errs = []
     for dt in dts:
-        cfg = IntegratorConfig(
-            dt=dt, t_final=0.1, eps_inc=100.0 * dt, eps_dec=1e-12, dec_period=100
-        )
+        cfg = IntegratorConfig(dt=dt, eps_inc=100.0 * dt, eps_dec=1e-12, dec_period=100)
         state = AdaptiveState.initial(prob.initial)
         for _ in range(int(round(0.1 / dt))):
             state = adaptive_step(state, prob.rhs, cfg)
@@ -292,7 +290,7 @@ def test_criterion_8_fp_benchmark(fp_runs):
 
     # conservation along the adaptive trajectory, checked at every step
     prob = fp4d(n=21)
-    cfg = IntegratorConfig(dt=1e-3, t_final=0.2, eps_inc=1e-3, eps_dec=1e-8, dec_period=25)
+    cfg = IntegratorConfig(dt=1e-3, eps_inc=1e-3, eps_dec=1e-8, dec_period=25)
     state = AdaptiveState.initial(prob.initial)
     base = F.integral(prob.initial)
     drift = 0.0

@@ -4,7 +4,6 @@ import pytest
 from fttpde.ftt import from_full, to_full
 from fttpde.grids import ShapeError, torus_domain
 from fttpde.operators import (
-    DensifyBudgetError,
     RhsEvaluator,
     apply_separable,
     apply_separable_dense,
@@ -135,7 +134,7 @@ def test_kse_rhs_matches_dense_random_low_rank(rng):
 def test_separable_reduces_to_apply_plus_truncate(dom2, rng):
     g1, g2 = dom2.axes
     op = separable([(g1.diff1, None), (None, g2.diff1)])
-    rhs = RhsEvaluator(domain=dom2, kind="separable", op=op)
+    rhs = RhsEvaluator(domain=dom2, op=op)
     u = random_ftt(dom2, (1, 2, 1), rng)
     direct = to_full(apply_separable(op, u))
     assert np.max(np.abs(to_full(eval_rhs(rhs, u)) - direct)) <= 1e-9 * max(
@@ -143,19 +142,9 @@ def test_separable_reduces_to_apply_plus_truncate(dom2, rng):
     )
 
 
-def test_dense_mode_and_budget(dom2, rng):
-    rhs = RhsEvaluator(domain=dom2, kind="dense", dense_fn=lambda a: a**2, densify_budget=10**6)
-    u = random_ftt(dom2, (1, 2, 1), rng)
-    out = eval_rhs(rhs, u)
-    assert np.max(np.abs(to_full(out) - to_full(u) ** 2)) <= 1e-8 * np.max(np.abs(to_full(u) ** 2))
-    tiny = RhsEvaluator(domain=dom2, kind="dense", dense_fn=lambda a: a, densify_budget=4)
-    with pytest.raises(DensifyBudgetError):
-        eval_rhs(tiny, u)
-
-
 def test_eval_rhs_domain_check(rng):
     dom_a = torus_domain(2, 9)
     dom_b = torus_domain(2, 11)
-    rhs = RhsEvaluator(domain=dom_a, kind="separable", op=identity_op(dom_a))
+    rhs = RhsEvaluator(domain=dom_a, op=identity_op(dom_a))
     with pytest.raises(ShapeError):
         eval_rhs(rhs, random_ftt(dom_b, (1, 2, 1), np.random.default_rng(0)))

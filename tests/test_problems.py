@@ -7,6 +7,7 @@ from fttpde.integrators import rk4_dense_step
 from fttpde.operators import apply_separable_dense
 from fttpde.problems import (
     CharacteristicsReference,
+    DenseRk4Reference,
     advection2d,
     advection2d_reference,
     advection2d_rhs_dense,
@@ -97,6 +98,17 @@ def test_advection_reference_solves_the_pde():
         u = rk4_dense_step(u, rhs, dt)
     ref = advection2d_reference(dom, t, ode_dt=1e-3)
     assert l2_error(u, ref, dom) <= 1e-8
+
+
+def test_dense_reference_lands_exactly_between_steps(dom2, rng):
+    # 0.0025 is two and a half reference steps: a shorter last step must
+    # finish the interval instead of stopping at a neighbouring step
+    u0 = rng.standard_normal(dom2.shape)
+    ref = DenseRk4Reference(dom2, lambda u: -u, u0, dt_ref=1e-3)
+    got = ref.solution(0.0025)
+    assert np.max(np.abs(got - np.exp(-0.0025) * u0)) <= 1e-12
+    got = ref.solution(0.004)
+    assert np.max(np.abs(got - np.exp(-0.004) * u0)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

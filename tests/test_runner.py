@@ -235,6 +235,46 @@ def test_cli_bad_config_exit_code(tmp_path, capsys):
     assert "missing required keys" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("problem = fp4d\nscheme = fixed_rank\ndt = 1e-3\nt_final = 0.01\n"
+         "max_ranks = 1,2,1\nn = 7\n", "max_ranks"),
+        ("problem = advection2d\nscheme = lie_trotter\ndt = 1e-3\nt_final = 0.01\nn = 2\n",
+         "grid points"),
+        ("problem = advection2d\nscheme = bogus\ndt = 1e-3\nt_final = 0.01\nn = 21\n", "scheme"),
+        ("problem = advection2d\nscheme = lie_trotter\ndt = 1e-3\nt_final = 0.0026\nn = 21\n",
+         "whole number of steps"),
+    ],
+    ids=["max_ranks_length", "too_few_points", "unknown_scheme", "fractional_steps"],
+)
+def test_cli_rejects_invalid_config_before_writing(tmp_path, capsys, text, message):
+    cfg = write_cfg(tmp_path, text)
+    assert cli_main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {cfg}: ")
+    assert message in captured.err
+    assert "Traceback" not in captured.err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_cli_failed_job_does_not_stop_others(tmp_path, capsys, jobs):
+    bad = write_cfg(tmp_path, "problem = advection2d\n", name="bad.cfg")
+    good = write_cfg(
+        tmp_path, SMALL_ADVECTION.replace("t_final = 0.02", "t_final = 0.005"), name="good.cfg"
+    )
+    out = str(tmp_path / "out")
+    rc = cli_main(["run", str(bad), str(good), "--output-dir", out, "--jobs", jobs])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert f"error: {bad}: " in captured.err and "missing required keys" in captured.err
+    summaries = [json.loads(line) for line in captured.out.splitlines()]
+    assert [s["status"] for s in summaries] == ["ok"]
+    assert (tmp_path / "out" / "good" / "summary.json").exists()
+
+
 def test_blowup_aborts_with_lastgood_snapshot(tmp_path, capsys):
     # wildly unstable explicit step: the run must stop at the numerical
     # failure, keep the last finite state, and exit nonzero
