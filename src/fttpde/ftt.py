@@ -105,7 +105,7 @@ def qr_core(core: np.ndarray, weights: np.ndarray, side: str = "left"):
         q, r = np.linalg.qr(m, mode="reduced")
         q, r = _fix_qr_signs(q, r)
         qcore = q.T.reshape(q.shape[1], n, rr) / sw[None, :, None]
-        return qcore, r
+        return np.ascontiguousarray(qcore), r
     raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
 
@@ -313,9 +313,7 @@ def truncate(u: FttTensor, tol: float, max_ranks=None):
     if nrm == 0.0:
         return _zero_like(u.domain), [np.zeros(1) for _ in range(d - 1)]
     delta = tol * nrm / np.sqrt(d - 1)
-    # the right sweep leaves cores in Fortran order; the products below round
-    # differently for the two layouts, so they always see C order
-    cores = [np.ascontiguousarray(c) for c in v.cores]
+    cores = list(v.cores)
     schmidt: list[np.ndarray] = []
     for k in range(d - 1):
         g = u.domain.axes[k]

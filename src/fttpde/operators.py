@@ -2,13 +2,19 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .ftt import FttTensor, _block_sum, truncate
+from .ftt import FttTensor, _select_rank, truncate
 from .grids import Domain, ShapeError
+
+
+# relative Frobenius cut-off of the one-time TT-matrix compression: it only
+# removes linear dependences between terms (shared identities and diagonals),
+# whose singular values sit at roundoff level
+_COMPRESS_TOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -17,11 +23,13 @@ class SeparableOperator:
 
     terms[i][j] is the n_j x n_j matrix acting on axis j in the i-th term;
     None stands for the identity.  Variable coefficients enter as diagonal
-    matrices on the grid.
+    matrices on the grid.  The tensor-train path applies the operator as a
+    compressed TT-matrix, built on first use for each grid shape and cached
+    on the operator; the cached cores are read-only.
     """
 
     terms: tuple[tuple[np.ndarray | None, ...], ...]
-    labels: tuple[str, ...] = ()
+    _tt_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.terms) < 1:
@@ -34,10 +42,48 @@ class SeparableOperator:
     def __call__(self, u: FttTensor) -> FttTensor:
         return apply_separable(self, u)
 
+    def tt_matrix(self, shape: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+        """TT-matrix cores of shape (R_{k-1}, n_k, n_k, R_k) on a grid of
+        the given shape, with boundary ranks 1; built once per shape."""
+        cores = self._tt_cache.get(shape)
+        if cores is None:
+            cores = _build_tt_matrix(self.terms, shape)
+            self._tt_cache[shape] = cores
+        return cores
 
-def separable(terms: Sequence[Sequence[np.ndarray | None]], labels=None) -> SeparableOperator:
-    tt = tuple(tuple(term) for term in terms)
-    return SeparableOperator(terms=tt, labels=tuple(labels) if labels else ())
+
+def separable(terms: Sequence[Sequence[np.ndarray | None]]) -> SeparableOperator:
+    return SeparableOperator(terms=tuple(tuple(term) for term in terms))
+
+
+def _build_tt_matrix(terms, shape: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    """Stack the terms block-diagonally as TT-matrix cores, then round once
+    in the Frobenius norm: a right QR sweep, then a left SVD sweep."""
+    nterms, d = len(terms), len(shape)
+    cores = []
+    for k, n in enumerate(shape):
+        core = np.zeros((nterms, n, n, nterms))
+        for i, term in enumerate(terms):
+            core[i, :, :, i] = np.eye(n) if term[k] is None else term[k]
+        cores.append(core)
+    cores[0] = cores[0].sum(axis=0, keepdims=True)
+    cores[-1] = cores[-1].sum(axis=3, keepdims=True)
+    for k in range(d - 1, 0, -1):
+        rl, n, _, rr = cores[k].shape
+        q, r = np.linalg.qr(cores[k].reshape(rl, n * n * rr).T)
+        cores[k] = q.T.reshape(q.shape[1], n, n, rr)
+        cores[k - 1] = np.tensordot(cores[k - 1], r, axes=(3, 1))
+    delta = _COMPRESS_TOL * np.linalg.norm(cores[0]) / np.sqrt(d - 1)
+    for k in range(d - 1):
+        rl, n, _, rr = cores[k].shape
+        u_svd, s, vt = np.linalg.svd(cores[k].reshape(rl * n * n, rr), full_matrices=False)
+        keep = _select_rank(s, delta, None)
+        cores[k] = u_svd[:, :keep].reshape(rl, n, n, keep)
+        cores[k + 1] = np.tensordot(s[:keep, None] * vt[:keep], cores[k + 1], axes=(1, 0))
+    out = tuple(np.ascontiguousarray(c) for c in cores)
+    for c in out:
+        c.flags.writeable = False
+    return out
 
 
 def _check_operator_shapes(op: SeparableOperator, domain: Domain) -> None:
@@ -50,18 +96,16 @@ def _check_operator_shapes(op: SeparableOperator, domain: Domain) -> None:
 
 
 def apply_separable(op: SeparableOperator, u: FttTensor) -> FttTensor:
-    """Apply the operator in tensor-train form; ranks grow by the factor R."""
+    """Apply the operator in tensor-train form, core by core through its
+    compressed TT-matrix; interface ranks grow by the TT-matrix ranks."""
     _check_operator_shapes(op, u.domain)
-    pieces = []
-    for term in op.terms:
-        cores = []
-        for mat, core in zip(term, u.cores):
-            if mat is None:
-                cores.append(core)
-            else:
-                cores.append(np.tensordot(mat, core, axes=(1, 1)).transpose(1, 0, 2))
-        pieces.append(FttTensor(cores, u.domain))
-    return _block_sum(pieces)
+    cores = []
+    for a, core in zip(op.tt_matrix(u.domain.shape), u.cores):
+        ra, n, _, rb = a.shape
+        rl, _, rr = core.shape
+        prod = np.tensordot(a, core, axes=(2, 1))  # (ra, n, rb, rl, rr)
+        cores.append(prod.transpose(0, 3, 1, 2, 4).reshape(ra * rl, n, rb * rr))
+    return FttTensor(cores, u.domain)
 
 
 def apply_separable_dense(op: SeparableOperator, values: np.ndarray) -> np.ndarray:
@@ -71,7 +115,6 @@ def apply_separable_dense(op: SeparableOperator, values: np.ndarray) -> np.ndarr
     and as the oracle against the tensor-train path.
     """
     out = np.zeros_like(values)
-    d = values.ndim
     for term in op.terms:
         piece = values
         for j, mat in enumerate(term):

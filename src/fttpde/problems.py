@@ -154,8 +154,7 @@ def advection2d(n: int = 81, reference_dt: float = 1e-3) -> ProblemSpec:
             (sin1 @ d1a, None),
             (d1a, cos2),
             (None, cos2 @ d1b),
-        ],
-        labels=("sin(x1) d/dx1", "cos(x2) d/dx1", "cos(x2) d/dx2"),
+        ]
     )
     x1, x2 = np.meshgrid(g1.nodes, g2.nodes, indexing="ij")
     initial = from_full(_advection_ic(x1, x2), dom, 0.0, max_ranks=(1, 15, 1))
@@ -203,15 +202,14 @@ def kse2d(
     g1, g2 = dom.axes
     d1, d2, d4 = g1.diff1, g1.diff2, g1.diff4
 
-    op_dx = separable([(d1, None)], labels=("d/dx",))
-    op_dy = separable([(None, d1)], labels=("d/dy",))
+    op_dx = separable([(d1, None)])
+    op_dy = separable([(None, d1)])
     op_lin = separable(
         [
             (-d2 - nu1 * d4, None),
             (None, -nu * d2 - nu1 * nu**2 * d4),
             (-2.0 * nu1 * nu * d2, d2),
-        ],
-        labels=("x diffusion", "y diffusion", "cross hyperviscosity"),
+        ]
     )
 
     def composite(u: FttTensor) -> FttTensor:
@@ -263,18 +261,7 @@ def fp4d_operator(domain: Domain, alpha: float, beta: float, k: float) -> Separa
         (None, None, beta * d2[2], gsq[3]),
         (gsq[0], None, None, beta * d2[3]),
     ]
-    labels = (
-        "-a cos(x1)",
-        "-a sin(x1) d1",
-        "-a sin(x3) d2",
-        "-a sin(x4) d3",
-        "-a sin(x1) d4",
-        "b g(x2)^2 d1^2",
-        "b g(x3)^2 d2^2",
-        "b g(x4)^2 d3^2",
-        "b g(x1)^2 d4^2",
-    )
-    return separable(terms, labels=labels)
+    return separable(terms)
 
 
 def fp4d(

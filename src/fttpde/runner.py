@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import time
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -161,6 +162,8 @@ def run_experiment(config: RunConfig, output_dir=None) -> dict:
             fh.write(f"param:{key} = {val}\n")
         fh.write(f"grid = {'x'.join(str(n) for n in dom.shape)}\n")
         fh.write(f"n_steps = {n_steps}\n")
+        fh.write(f"numpy = {np.__version__}\n")
+        fh.write(f"blas_threads = {os.environ.get('OPENBLAS_NUM_THREADS', 'unset')}\n")
 
     header = ["t", "l2_error", "normal_norm"] + [f"r{k}" for k in range(d + 1)] + ["event"]
     sv_rows = ["t,interface,index,sigma"]

@@ -203,6 +203,20 @@ def test_orthogonalize_pivot_out_of_range(dom2, rng):
         orthogonalize(u, "left", 3)
 
 
+def test_cores_come_out_in_c_order(dom3, rng):
+    # BLAS products round differently for C- and Fortran-ordered operands, so
+    # the layout of every core a kernel returns is fixed to C order
+    u = random_ftt(dom3, (1, 5, 3, 1), rng)
+    u = FttTensor([np.asfortranarray(c) for c in u.cores], dom3)
+    w = dom3.axes[1].weights
+    outs = [qr_core(u.cores[1], w, side)[0] for side in ("left", "right")]
+    for direction, pivot in (("left", 3), ("left", 2), ("right", 1), ("right", 2)):
+        outs += orthogonalize(u, direction, pivot)[0].cores
+    for tol in (0.0, 0.5):
+        outs += truncate(u, tol)[0].cores
+    assert all(c.flags.c_contiguous for c in outs)
+
+
 def test_norm_matches_dense(dom3, rng):
     u = random_ftt(dom3, (1, 2, 3, 1), rng)
     dense = to_full(u)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fttpde import operators
 from fttpde.ftt import from_full, to_full
 from fttpde.grids import ShapeError, torus_domain
 from fttpde.operators import (
@@ -62,6 +63,66 @@ def test_apply_separable_matches_dense_oracle(dom3, rng):
     out = to_full(apply_separable(op, u))
     oracle = apply_separable_dense(op, to_full(u))
     assert np.max(np.abs(out - oracle)) <= 1e-10 * max(1.0, np.max(np.abs(oracle)))
+
+
+def tt_matrix_ranks(op, shape):
+    return (1,) + tuple(c.shape[3] for c in op.tt_matrix(shape))
+
+
+def test_fokker_planck_tt_matrix_ranks():
+    prob = fp4d(n=11)
+    assert tt_matrix_ranks(prob.rhs.op, prob.domain.shape) == (1, 4, 4, 4, 1)
+
+
+def test_compressed_operator_matches_dense_oracle(dom3, rng):
+    # repeated, identity and diagonal factors make the stacked terms linearly
+    # dependent, which the compression removes
+    g1, g2, g3 = dom3.axes
+    diag = np.diag(np.cos(g2.nodes))
+    mat = rng.standard_normal((g3.n, g3.n))
+    op = separable(
+        [
+            (g1.diff1, diag, None),
+            (g1.diff1, None, mat),
+            (None, diag, mat),
+            (np.diag(np.sin(g1.nodes)), None, None),
+            (g1.diff2, diag, mat),
+        ]
+    )
+    tt_ranks = tt_matrix_ranks(op, dom3.shape)
+    assert max(tt_ranks) < op.rank
+    u = random_ftt(dom3, (1, 2, 3, 1), rng)
+    out = apply_separable(op, u)
+    oracle = apply_separable_dense(op, to_full(u))
+    assert np.linalg.norm(to_full(out) - oracle) <= 1e-12 * np.linalg.norm(oracle)
+    assert all(r <= t * ru for r, t, ru in zip(out.ranks, tt_ranks, u.ranks))
+
+
+def test_tt_matrix_built_once_per_shape(dom2, rng, monkeypatch):
+    builds = []
+    build = operators._build_tt_matrix
+
+    def counting_build(terms, shape):
+        builds.append(shape)
+        return build(terms, shape)
+
+    monkeypatch.setattr(operators, "_build_tt_matrix", counting_build)
+    g1, g2 = dom2.axes
+    op = separable([(g1.diff1, None), (None, g2.diff2)])
+    u = random_ftt(dom2, (1, 2, 1), rng)
+    first = to_full(apply_separable(op, u))
+    second = to_full(apply_separable(op, u))
+    assert builds == [dom2.shape]
+    assert np.array_equal(first, second)
+
+
+def test_tt_matrix_cores_are_read_only(dom2):
+    g1, g2 = dom2.axes
+    op = separable([(g1.diff1, None), (None, g2.diff1)])
+    for core in op.tt_matrix(dom2.shape):
+        assert not core.flags.writeable
+        with pytest.raises(ValueError):
+            core[0, 0, 0, 0] = 1.0
 
 
 def test_apply_separable_linearity(dom2, rng):

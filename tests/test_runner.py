@@ -1,5 +1,6 @@
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -176,6 +177,14 @@ def test_run_log_echoes_parameters(small_run):
     text = (outdir / "run.log").read_text()
     assert "eps_inc = 0.01" in text
     assert "grid = 21x21" in text
+
+
+def test_run_log_records_numeric_environment(small_run):
+    _, outdir, _ = small_run
+    lines = (outdir / "run.log").read_text().splitlines()
+    assert f"numpy = {np.__version__}" in lines
+    threads = os.environ.get("OPENBLAS_NUM_THREADS", "unset")
+    assert f"blas_threads = {threads}" in lines
 
 
 def test_rerun_is_byte_identical(small_run, tmp_path):

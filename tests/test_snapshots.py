@@ -1,5 +1,8 @@
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fttpde import snapshots
 from fttpde.ftt import to_full
@@ -64,3 +67,71 @@ def test_describe(tmp_path, rng):
     assert info["d"] == 3
     assert info["ranks"] == [1, 2, 3, 1]
     assert info["axes"][0]["n"] == 9
+
+
+def header(axes, ranks):
+    """FTTSNAP1 header for (n, a, b) axes and the given ranks."""
+    out = snapshots.MAGIC + struct.pack("<q", len(axes))
+    for n, a, b in axes:
+        out += struct.pack("<qdd", n, a, b)
+    return out + struct.pack(f"<{len(ranks)}q", *ranks)
+
+
+TWO_PI = 2 * np.pi
+GOOD_AXES = [(5, 0.0, TWO_PI), (5, 0.0, TWO_PI)]
+GOOD_CORES = b"\x00" * 8 * (5 + 5)
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        b"FTTSNAP1\x02\x00",
+        header([(5, 0.0, 1.0)], (1, 1)) + b"\x00" * 40,
+        header([(-5, 0.0, 1.0), (5, 0.0, 1.0)], (1, 1, 1)),
+        header([(5, 1.0, 1.0), (5, 0.0, 1.0)], (1, 1, 1)) + GOOD_CORES,
+        header([(5, -1e308, 1e308), (5, 0.0, 1.0)], (1, 1, 1)) + GOOD_CORES,
+        header(GOOD_AXES, (2, 1, 1)) + GOOD_CORES,
+        header(GOOD_AXES, (1, 0, 1)),
+        header(GOOD_AXES, (1, 1, 1)) + GOOD_CORES + b"\x00",
+        header(GOOD_AXES, (1, 1, 1)) + GOOD_CORES[:-8],
+    ],
+    ids=["short", "d=1", "n<3", "empty-interval", "infinite-length",
+         "r0!=1", "zero-rank", "trailing-bytes", "missing-bytes"],
+)
+def test_malformed_header_rejected(tmp_path, data):
+    path = tmp_path / "bad.fttsnap"
+    path.write_bytes(data)
+    for read in (snapshots.load, snapshots.describe):
+        with pytest.raises(snapshots.SnapshotFormatError):
+            read(path)
+
+
+def test_huge_declared_grid_rejected_before_allocation(tmp_path, monkeypatch):
+    def no_grid(*args):
+        raise AssertionError("grid built before the length check")
+
+    monkeypatch.setattr(snapshots, "make_periodic_grid", no_grid)
+    path = tmp_path / "huge.fttsnap"
+    path.write_bytes(header([(10**9, 0.0, TWO_PI)] * 2, (1, 1, 1)) + GOOD_CORES)
+    with pytest.raises(snapshots.SnapshotFormatError):
+        snapshots.load(path)
+
+
+# near-valid headers reach the checks past d; arbitrary bytes rarely do
+near_valid = st.builds(
+    lambda axes, ranks, tail: header(axes, ranks)[8:] + tail,
+    st.lists(st.tuples(st.integers(-2, 7), st.floats(), st.floats()), max_size=3),
+    st.lists(st.integers(-1, 3), min_size=1, max_size=4),
+    st.binary(max_size=200),
+)
+
+
+@given(body=st.one_of(st.binary(max_size=400), near_valid))
+@settings(max_examples=300, deadline=None)
+def test_loader_raises_only_format_error(tmp_path_factory, body):
+    path = tmp_path_factory.mktemp("fuzz") / "x.fttsnap"
+    path.write_bytes(snapshots.MAGIC + body)
+    try:
+        snapshots.load(path)
+    except snapshots.SnapshotFormatError:
+        pass
