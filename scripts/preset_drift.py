@@ -1,0 +1,118 @@
+#!/usr/bin/env python3
+"""Compare every shipped preset between two source trees.
+
+    python3 scripts/preset_drift.py PARENT_SRC CHANGE_SRC
+
+Each SRC is a directory holding the `fttpde` package (a checkout's `src/`).
+Every preset of CHANGE_SRC runs once from each tree, in its own process
+with OPENBLAS_NUM_THREADS=1, keeping every key of that tree's preset file
+except `t_final`, which is shortened to 3 * dec_period * dt.  For each
+preset the report says which `timeseries.csv` columns are byte-identical
+between the trees, the largest relative row difference of each column that
+is not, and the relative change in `final_error`.  Exits 1 if any run
+failed, else 0.
+"""
+
+import argparse
+import concurrent.futures
+import json
+import os
+import re
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+THREAD_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def shortened_config(preset: Path) -> str:
+    """The preset's text with t_final set to 3 * dec_period * dt."""
+    text = preset.read_text()
+    keys = dict(re.findall(r"^\s*(\w+)\s*=\s*(\S+)", text, flags=re.M))
+    t_final = 3 * int(keys["dec_period"]) * float(keys["dt"])
+    return re.sub(r"^\s*t_final\s*=.*$", f"t_final = {t_final!r}", text, flags=re.M)
+
+
+def run_preset(src: Path, name: str, work: Path) -> Path | None:
+    """Run one preset from one tree; return its output directory, or None
+    if the preset is missing there or the run failed."""
+    preset = src / "fttpde" / "presets" / f"{name}.cfg"
+    if not preset.is_file():
+        return None
+    work.mkdir(parents=True)
+    cfg = work / f"{name}.cfg"
+    cfg.write_text(shortened_config(preset))
+    env = dict(os.environ, PYTHONPATH=str(src), **{k: "1" for k in THREAD_ENV})
+    out = work / "out"
+    proc = subprocess.run(
+        [sys.executable, "-m", "fttpde.cli", "run", str(cfg), "--output-dir", str(out)],
+        env=env, capture_output=True, text=True,
+    )
+    if proc.returncode != 0:
+        print(f"{name}: run from {src} exited {proc.returncode}\n{proc.stderr}", file=sys.stderr)
+        return None
+    return out
+
+
+def columns(csv_path: Path) -> dict[str, list[str]]:
+    header, *rows = csv_path.read_text().splitlines()
+    names = header.split(",")
+    return {n: [row.split(",")[i] for row in rows] for i, n in enumerate(names)}
+
+
+def max_rel_diff(xs: list[str] | None, ys: list[str] | None) -> float | None:
+    """Largest |y - x| / |x| over the rows of one column, or None when the
+    column is missing on one side, lengths differ, or a value is not a
+    nonzero number."""
+    if xs is None or ys is None or len(xs) != len(ys):
+        return None
+    try:
+        return max(abs(float(y) - float(x)) / abs(float(x)) for x, y in zip(xs, ys) if x != y)
+    except (ValueError, ZeroDivisionError):
+        return None
+
+
+def compare(name: str, parent_out: Path, change_out: Path) -> dict:
+    a = columns(parent_out / "timeseries.csv")
+    b = columns(change_out / "timeseries.csv")
+    err_a = json.loads((parent_out / "summary.json").read_text())["final_error"]
+    err_b = json.loads((change_out / "summary.json").read_text())["final_error"]
+    names = list(a) + [c for c in b if c not in a]
+    return {
+        "preset": name,
+        "identical": [c for c in names if a.get(c) == b.get(c)],
+        "differ": {c: max_rel_diff(a.get(c), b.get(c)) for c in names if a.get(c) != b.get(c)},
+        "final_error": [err_a, err_b],
+        "final_error_rel_change": (
+            abs(err_b - err_a) / abs(err_a) if err_a and err_b is not None else None
+        ),
+    }
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
+    )
+    ap.add_argument("parent_src", type=Path)
+    ap.add_argument("change_src", type=Path)
+    args = ap.parse_args()
+    trees = (args.parent_src.resolve(), args.change_src.resolve())
+    names = sorted(p.stem for p in (trees[1] / "fttpde" / "presets").glob("*.cfg"))
+    failed = False
+    with tempfile.TemporaryDirectory() as tmp, \
+            concurrent.futures.ThreadPoolExecutor(max_workers=2) as pool:
+        for name in names:
+            outs = list(pool.map(
+                lambda i: run_preset(trees[i], name, Path(tmp) / str(i) / name), (0, 1)
+            ))
+            if None in outs:
+                failed = True
+                print(json.dumps({"preset": name, "failed": True}))
+                continue
+            print(json.dumps(compare(name, *outs)), flush=True)
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -73,7 +73,12 @@ def _cmd_presets(args) -> int:
 
 def _cmd_snapshot(args) -> int:
     if args.action == "info":
-        print(json.dumps(snapshots.describe(args.file), indent=2))
+        try:
+            info = snapshots.describe(args.file)
+        except (snapshots.SnapshotFormatError, OSError) as exc:
+            print(f"error: {args.file}: {exc}", file=sys.stderr)
+            return 1
+        print(json.dumps(info, indent=2))
     return 0
 
 

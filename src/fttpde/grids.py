@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -16,20 +17,25 @@ class ShapeError(ValueError):
 
 
 def _fourier_diff_matrix(n: int, length: float, order: int) -> np.ndarray:
-    """Dense pseudo-spectral differentiation matrix on n equispaced points of a period."""
+    """Dense pseudo-spectral differentiation matrix on n equispaced points of
+    a period; read-only."""
     k = np.fft.fftfreq(n, d=1.0 / n) * (2.0 * np.pi / length)
     sym = (1j * k) ** order
     if n % 2 == 0 and order % 2 == 1:
         # zero out the Nyquist mode: its derivative has no consistent sign
         sym[n // 2] = 0.0
-    return np.real(np.fft.ifft(sym[:, None] * np.fft.fft(np.eye(n), axis=0), axis=0))
+    mat = np.real(np.fft.ifft(sym[:, None] * np.fft.fft(np.eye(n), axis=0), axis=0))
+    mat.flags.writeable = False
+    return mat
 
 
 @dataclass(frozen=True, eq=False)
 class Grid1D:
     """One periodic spatial axis: nodes, quadrature weights, differentiation matrices.
 
-    Immutable after construction; matrices are built once and shared read-only.
+    Immutable after construction.  The n x n differentiation matrices are
+    built on first access, so a grid that never differentiates (such as one
+    read from a snapshot) costs memory linear in n; they are shared read-only.
     """
 
     n: int
@@ -37,13 +43,22 @@ class Grid1D:
     b: float
     nodes: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
-    diff1: np.ndarray = field(repr=False)
-    diff2: np.ndarray = field(repr=False)
-    diff4: np.ndarray = field(repr=False)
 
     @property
     def length(self) -> float:
         return self.b - self.a
+
+    @cached_property
+    def diff1(self) -> np.ndarray:
+        return _fourier_diff_matrix(self.n, self.length, 1)
+
+    @cached_property
+    def diff2(self) -> np.ndarray:
+        return _fourier_diff_matrix(self.n, self.length, 2)
+
+    @cached_property
+    def diff4(self) -> np.ndarray:
+        return _fourier_diff_matrix(self.n, self.length, 4)
 
     def matches(self, other: "Grid1D") -> bool:
         return self.n == other.n and self.a == other.a and self.b == other.b
@@ -62,16 +77,7 @@ def make_periodic_grid(n: int, a: float, b: float) -> Grid1D:
     length = float(b - a)
     nodes = a + length * np.arange(n) / n
     weights = np.full(n, length / n)
-    return Grid1D(
-        n=n,
-        a=float(a),
-        b=float(b),
-        nodes=nodes,
-        weights=weights,
-        diff1=_fourier_diff_matrix(n, length, 1),
-        diff2=_fourier_diff_matrix(n, length, 2),
-        diff4=_fourier_diff_matrix(n, length, 4),
-    )
+    return Grid1D(n=n, a=float(a), b=float(b), nodes=nodes, weights=weights)
 
 
 def quad_inner(grid: Grid1D, f: np.ndarray, g: np.ndarray) -> float:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -25,7 +26,8 @@ class SeparableOperator:
     None stands for the identity.  Variable coefficients enter as diagonal
     matrices on the grid.  The tensor-train path applies the operator as a
     compressed TT-matrix, built on first use for each grid shape and cached
-    on the operator; the cached cores are read-only.
+    on the operator; the cached cores are read-only.  The dense path uses
+    the factors classified once into diagonal and dense (`dense_factors`).
     """
 
     terms: tuple[tuple[np.ndarray | None, ...], ...]
@@ -50,6 +52,31 @@ class SeparableOperator:
             cores = _build_tt_matrix(self.terms, shape)
             self._tt_cache[shape] = cores
         return cores
+
+    @cached_property
+    def dense_factors(self) -> tuple[tuple[tuple[int, bool, np.ndarray], ...], ...]:
+        """Per term, (axis, is_diagonal, array) for each factor that is not
+        the identity, dense factors first so that the diagonal ones can
+        scale the term in place.  A factor whose off-diagonal entries are
+        all exactly zero is stored as its diagonal, shaped to broadcast
+        along its axis; any other factor as the matrix.  Read-only."""
+        plan = []
+        for term in self.terms:
+            dense, diagonal = [], []
+            for j, mat in enumerate(term):
+                if mat is None:
+                    continue
+                diag = np.diagonal(mat)
+                if np.any(mat - np.diag(diag)):
+                    dense.append((j, False, mat.view()))
+                else:
+                    shape = [1] * len(term)
+                    shape[j] = diag.size
+                    diagonal.append((j, True, diag.reshape(shape).copy()))
+            for _, _, arr in dense + diagonal:
+                arr.flags.writeable = False
+            plan.append(tuple(dense + diagonal))
+        return tuple(plan)
 
 
 def separable(terms: Sequence[Sequence[np.ndarray | None]]) -> SeparableOperator:
@@ -109,19 +136,28 @@ def apply_separable(op: SeparableOperator, u: FttTensor) -> FttTensor:
 
 
 def apply_separable_dense(op: SeparableOperator, values: np.ndarray) -> np.ndarray:
-    """Dense application, contracting each non-identity factor axis by axis.
+    """Dense application, one pass per term: a dense factor is one matrix
+    product on a reshaped view, a diagonal factor a broadcast multiply, an
+    identity is skipped.
 
-    Never forms the full Kronecker matrix; used by dense reference solvers
-    and as the oracle against the tensor-train path.
+    Never forms the full Kronecker matrix and never writes into `values`;
+    used by dense reference solvers and as the oracle against the
+    tensor-train path.
     """
-    out = np.zeros_like(values)
-    for term in op.terms:
+    shape = values.shape
+    if any(len(term) != values.ndim for term in op.terms):
+        raise ShapeError(f"operator terms do not all have {values.ndim} factors")
+    out = np.zeros(shape)
+    for factors in op.dense_factors:
         piece = values
-        for j, mat in enumerate(term):
-            if mat is None:
-                continue
-            piece = np.moveaxis(np.tensordot(mat, piece, axes=(1, j)), 0, j)
-        out = out + piece
+        for j, is_diag, arr in factors:
+            if is_diag:
+                piece = np.multiply(piece, arr, out=None if piece is values else piece)
+            elif j == len(shape) - 1:
+                piece = (piece.reshape(-1, shape[j]) @ arr.T).reshape(shape)
+            else:
+                piece = (arr @ piece.reshape(shape[: j + 1] + (-1,))).reshape(shape)
+        np.add(out, piece, out=out)
     return out
 
 

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,15 @@ def weighted_dense_norm(values, domain):
         shape[ax] = g.n
         sq = sq * g.weights.reshape(shape)
     return float(np.sqrt(sq.sum()))
+
+
+def kron_matrix(op, shape):
+    """The explicit matrix of a separable operator acting on C-order
+    flattened values: the sum over terms of the Kronecker products."""
+    return sum(
+        functools.reduce(np.kron, [np.eye(n) if m is None else m for m, n in zip(term, shape)])
+        for term in op.terms
+    )
 
 
 @pytest.fixture

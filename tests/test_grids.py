@@ -40,6 +40,15 @@ def test_diff_matrices_annihilate_constants():
         assert np.max(np.abs(mat.sum(axis=1))) <= 1e-10
 
 
+def test_diff_matrices_built_once_and_read_only():
+    g = make_periodic_grid(9, 0.0, TWO_PI)
+    for name in ("diff1", "diff2", "diff4"):
+        mat = getattr(g, name)
+        assert getattr(g, name) is mat
+        with pytest.raises(ValueError):
+            mat[0, 0] = 1.0
+
+
 def test_diff2_consistent_with_diff1_squared():
     g = make_periodic_grid(21, 0.0, TWO_PI)
     assert np.max(np.abs(g.diff1 @ g.diff1 - g.diff2)) <= 1e-8

@@ -3,7 +3,7 @@ import pytest
 
 from fttpde import operators
 from fttpde.ftt import from_full, to_full
-from fttpde.grids import ShapeError, torus_domain
+from fttpde.grids import ShapeError, make_domain, make_periodic_grid, torus_domain
 from fttpde.operators import (
     RhsEvaluator,
     apply_separable,
@@ -13,7 +13,7 @@ from fttpde.operators import (
 )
 from fttpde.problems import advection2d, advection2d_rhs_dense, fp4d, kse2d
 
-from conftest import random_ftt, weighted_dense_norm
+from conftest import kron_matrix, random_ftt, weighted_dense_norm
 
 
 def identity_op(domain, r=1):
@@ -63,6 +63,66 @@ def test_apply_separable_matches_dense_oracle(dom3, rng):
     out = to_full(apply_separable(op, u))
     oracle = apply_separable_dense(op, to_full(u))
     assert np.max(np.abs(out - oracle)) <= 1e-10 * max(1.0, np.max(np.abs(oracle)))
+
+
+def uneven_domain(*sizes):
+    return make_domain(*(make_periodic_grid(n, 0.0, 2 * np.pi) for n in sizes))
+
+
+@pytest.mark.parametrize("sizes", [(6, 9), (5, 7, 4)], ids=["2d", "3d"])
+def test_apply_separable_dense_matches_kronecker_matrix(sizes, rng):
+    dom = uneven_domain(*sizes)
+    d = dom.ndim
+    diags = [np.diag(rng.standard_normal(n)) for n in sizes]
+    mats = [rng.standard_normal((n, n)) for n in sizes]
+    op = separable(
+        [
+            tuple(None for _ in range(d)),  # all identities
+            tuple(diags),  # only diagonal factors
+            (mats[0],) + (None,) * (d - 1),
+            (None,) * (d - 1) + (mats[-1],),
+            (diags[0],) + tuple(mats[1:]),  # diagonal and dense mixed
+            tuple(mats[:-1]) + (diags[-1],),
+            (None, dom.axes[1].diff2) + tuple(diags[2:]),
+        ]
+    )
+    values = rng.standard_normal(dom.shape)
+    values.flags.writeable = False
+    before = values.copy()
+    out = apply_separable_dense(op, values)
+    oracle = (kron_matrix(op, dom.shape) @ values.ravel()).reshape(dom.shape)
+    assert np.linalg.norm(out - oracle) <= 1e-13 * np.linalg.norm(oracle)
+    assert out is not values and not np.shares_memory(out, values)
+    assert np.array_equal(values, before)
+
+
+def test_apply_separable_dense_identity_term_is_a_copy(dom2, rng):
+    values = rng.standard_normal(dom2.shape)
+    values.flags.writeable = False
+    out = apply_separable_dense(identity_op(dom2), values)
+    assert out is not values and out.flags.writeable
+    assert np.array_equal(out, values)
+
+
+def test_apply_separable_dense_rejects_wrong_dimension(dom2, dom3, rng):
+    with pytest.raises(ShapeError):
+        apply_separable_dense(identity_op(dom2), rng.standard_normal(dom3.shape))
+
+
+def test_dense_factors_classified_once_and_read_only(dom2):
+    g1, g2 = dom2.axes
+    sin = np.diag(np.sin(g1.nodes))
+    op = separable([(sin, g2.diff1), (None, np.zeros((g2.n, g2.n)))])
+    plan = op.dense_factors
+    assert op.dense_factors is plan
+    assert [[(j, diag) for j, diag, _ in term] for term in plan] == [
+        [(1, False), (0, True)],
+        [(1, True)],
+    ]
+    assert plan[0][1][2].shape == (g1.n, 1)
+    for term in plan:
+        for _, _, arr in term:
+            assert not arr.flags.writeable
 
 
 def tt_matrix_ranks(op, shape):

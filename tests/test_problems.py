@@ -18,7 +18,7 @@ from fttpde.problems import (
     marginal_2d,
 )
 
-from conftest import random_ftt, weighted_dense_norm
+from conftest import kron_matrix, random_ftt, weighted_dense_norm
 
 
 # ---------------------------------------------------------------------------
@@ -165,6 +165,17 @@ def test_fp_initial_normalization():
 def test_fp_initial_rank_one():
     prob = fp4d(n=11)
     assert prob.initial.ranks == (1, 1, 1, 1, 1)
+
+
+def test_fp_reference_matches_kronecker_rk4():
+    prob = fp4d(n=7)
+    shape = prob.domain.shape
+    mat = kron_matrix(prob.rhs.op, shape)
+    u = prob.reference.solution(0.0)
+    for _ in range(10):
+        u = rk4_dense_step(u, lambda v: (mat @ v.ravel()).reshape(shape), 1e-3)
+    ref = prob.reference.solution(0.01)
+    assert np.linalg.norm(ref - u) <= 1e-12 * np.linalg.norm(u)
 
 
 def test_fp_generator_integrates_to_zero():

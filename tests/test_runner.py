@@ -238,6 +238,18 @@ def test_cli_run_and_snapshot_info(tmp_path, capsys):
     assert info["d"] == 2
 
 
+@pytest.mark.parametrize("data", [b"FTTSNAP1\x02\x00", None], ids=["malformed", "missing"])
+def test_cli_snapshot_info_reports_bad_file(tmp_path, capsys, data):
+    path = tmp_path / "bad.fttsnap"
+    if data is not None:
+        path.write_bytes(data)
+    assert cli_main(["snapshot", "info", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {path}: ")
+    assert "Traceback" not in captured.err
+
+
 def test_cli_bad_config_exit_code(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "problem = advection2d\n")
     assert cli_main(["run", str(cfg)]) == 1

@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -115,6 +116,22 @@ def test_huge_declared_grid_rejected_before_allocation(tmp_path, monkeypatch):
     path.write_bytes(header([(10**9, 0.0, TWO_PI)] * 2, (1, 1, 1)) + GOOD_CORES)
     with pytest.raises(snapshots.SnapshotFormatError):
         snapshots.load(path)
+
+
+def test_load_memory_is_linear_in_file_size(tmp_path):
+    # a rank-1 file with n = 1000 on both axes is ~16 KB; n x n grid
+    # matrices would take 8 MB each
+    n = 1000
+    path = tmp_path / "wide.fttsnap"
+    path.write_bytes(header([(n, 0.0, TWO_PI)] * 2, (1, 1, 1)) + b"\x00" * 8 * 2 * n)
+    tracemalloc.start()
+    try:
+        u = snapshots.load(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert u.ranks == (1, 1, 1)
+    assert peak < 2 * 2**20
 
 
 # near-valid headers reach the checks past d; arbitrary bytes rarely do
