@@ -9,8 +9,8 @@ with OPENBLAS_NUM_THREADS=1, keeping every key of that tree's preset file
 except `t_final`, which is shortened to 3 * dec_period * dt.  For each
 preset the report says which `timeseries.csv` columns are byte-identical
 between the trees, the largest relative row difference of each column that
-is not, and the relative change in `final_error`.  Exits 1 if any run
-failed, else 0.
+is not, whether `singular_values.csv` is byte-identical, and the relative
+change in `final_error`.  Exits 1 if any run failed, else 0.
 """
 
 import argparse
@@ -83,6 +83,10 @@ def compare(name: str, parent_out: Path, change_out: Path) -> dict:
         "preset": name,
         "identical": [c for c in names if a.get(c) == b.get(c)],
         "differ": {c: max_rel_diff(a.get(c), b.get(c)) for c in names if a.get(c) != b.get(c)},
+        "singular_values_identical": (
+            (parent_out / "singular_values.csv").read_bytes()
+            == (change_out / "singular_values.csv").read_bytes()
+        ),
         "final_error": [err_a, err_b],
         "final_error_rel_change": (
             abs(err_b - err_a) / abs(err_a) if err_a and err_b is not None else None

@@ -23,12 +23,16 @@ def preset_names() -> list[str]:
 def preset_path(name: str) -> Path:
     path = resources.files("fttpde") / "presets" / f"{name}.cfg"
     if not path.is_file():
-        raise ConfigError(f"unknown preset {name!r}; see 'fttpde presets list'")
+        raise ConfigError(f"no config file or preset named {name!r}; see 'fttpde presets list'")
     return Path(str(path))
 
 
-def _run_one(config_path: str, output_dir: str | None) -> dict:
-    config = parse_config(config_path)
+def _run_one(arg: str, output_dir: str | None, subdir: str | None) -> dict:
+    """Run a config file, or else the shipped preset of that name; with a
+    subdir, write into that directory of the output base."""
+    config = parse_config(arg if Path(arg).is_file() else preset_path(arg))
+    if subdir is not None:
+        output_dir = str(Path(output_dir or config.output_dir or ".") / subdir)
     return run_experiment(config, output_dir=output_dir)
 
 
@@ -47,20 +51,20 @@ def _report(cfg_path: str, result) -> int:
 
 
 def _cmd_run(args) -> int:
-    jobs = []
     multi = len(args.config) > 1
-    for cfg_path in args.config:
-        out = args.output_dir
-        if out is not None and multi:
-            out = str(Path(out) / Path(cfg_path).stem)
-        jobs.append((cfg_path, out))
+    stems = [Path(c).stem for c in args.config]
+    dup = next((s for s in stems if stems.count(s) > 1), None)
+    if dup is not None:
+        print(f"error: two configs would write to the same subdirectory {dup!r}", file=sys.stderr)
+        return 1
+    jobs = [(c, args.output_dir, s if multi else None) for c, s in zip(args.config, stems)]
     if args.jobs > 1 and multi:
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            futures = {pool.submit(_run_one, c, o): c for c, o in jobs}
+            futures = {pool.submit(_run_one, *job): job[0] for job in jobs}
             done = concurrent.futures.as_completed(futures)
             codes = [_report(futures[f], f.result) for f in done]
     else:
-        codes = [_report(c, functools.partial(_run_one, c, o)) for c, o in jobs]
+        codes = [_report(job[0], functools.partial(_run_one, *job)) for job in jobs]
     return 1 if 1 in codes else 2 if 2 in codes else 0
 
 
@@ -90,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="execute one or more run configs")
-    p_run.add_argument("config", nargs="+", help="flat key=value config file(s)")
+    p_run.add_argument("config", nargs="+", help="flat key=value config file(s) or preset name(s)")
     p_run.add_argument("--output-dir", default=None, help="directory for run outputs")
     p_run.add_argument("--jobs", type=int, default=1, help="parallel runs across configs")
     p_run.set_defaults(func=_cmd_run)

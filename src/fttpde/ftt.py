@@ -10,7 +10,7 @@ calling a dense LAPACK routine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,16 +32,14 @@ class FttTensor:
 
     Operations never mutate their inputs or write into core arrays; results
     may share unchanged cores with their inputs.
-    ``left_orth_upto``/``right_orth_from`` record which cores are known
-    weighted-orthonormal (cores 1..L from the left, cores R..d from the
-    right, 1-based); they are hints that let downstream sweeps skip
-    re-orthogonalization.
+    ``right_orth_from`` records that cores R..d (1-based) are known
+    weighted-orthonormal from the right; it is a hint that lets downstream
+    sweeps skip re-orthogonalization.
     """
 
     cores: list[np.ndarray]
     domain: Domain
-    left_orth_upto: int = 0
-    right_orth_from: int = field(default=-1)
+    right_orth_from: int = -1
 
     def __post_init__(self):
         d = self.domain.ndim
@@ -77,7 +75,7 @@ class FttTensor:
 
 def _fix_qr_signs(q: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # normalize R to a nonnegative diagonal so sweeps are deterministic
-    s = np.sign(np.diagonal(r)).copy()
+    s = np.sign(np.diagonal(r))
     s[s == 0] = 1.0
     return q * s[None, : q.shape[1]], r * s[:, None]
 
@@ -130,8 +128,7 @@ def orthogonalize(u: FttTensor, direction: str, pivot: int):
             cores[k] = q
             if k + 1 < d:
                 cores[k + 1] = np.tensordot(r, cores[k + 1], axes=(1, 0))
-        out = FttTensor(cores, u.domain, left_orth_upto=pivot)
-        return out, r
+        return FttTensor(cores, u.domain), r
     if direction == "right":
         r = np.eye(1)
         for k in range(d - 1, pivot - 2, -1):
@@ -165,7 +162,7 @@ def _select_rank(s: np.ndarray, delta: float, cap: int | None) -> int:
 
 def _zero_like(domain: Domain) -> FttTensor:
     cores = [np.zeros((1, g.n, 1)) for g in domain.axes]
-    return FttTensor(cores, domain, left_orth_upto=domain.ndim - 1)
+    return FttTensor(cores, domain)
 
 
 def from_full(
@@ -183,7 +180,7 @@ def from_full(
     if values.shape != domain.shape:
         raise ShapeError(f"values shape {values.shape} != domain shape {domain.shape}")
     d = domain.ndim
-    work = values.copy()
+    work = values
     for ax, g in enumerate(domain.axes):
         shape = [1] * d
         shape[ax] = g.n
@@ -207,7 +204,7 @@ def from_full(
     cores.append(mat.reshape(r_prev, domain.axes[-1].n, 1))
     for k, g in enumerate(domain.axes):
         cores[k] = cores[k] / np.sqrt(g.weights)[None, :, None]
-    return FttTensor(cores, domain, left_orth_upto=d - 1)
+    return FttTensor(cores, domain)
 
 
 def to_full(u: FttTensor) -> np.ndarray:
@@ -230,33 +227,20 @@ def scale(a: FttTensor, c: float) -> FttTensor:
 def add(a: FttTensor, b: FttTensor) -> FttTensor:
     """Pointwise sum; interior ranks add blockwise."""
     _check_same_domain(a, b)
-    return _block_sum([a, b])
-
-
-def _block_sum(terms: list[FttTensor]) -> FttTensor:
-    dom = terms[0].domain
-    d = dom.ndim
-    if len(terms) == 1:
-        return terms[0]
+    d = a.ndim
     cores: list[np.ndarray] = []
-    for k in range(d):
-        blocks = [t.cores[k] for t in terms]
-        n = dom.axes[k].n
+    for k, (ca, cb) in enumerate(zip(a.cores, b.cores)):
         if k == 0:
-            cores.append(np.concatenate(blocks, axis=2))
+            cores.append(np.concatenate((ca, cb), axis=2))
         elif k == d - 1:
-            cores.append(np.concatenate(blocks, axis=0))
+            cores.append(np.concatenate((ca, cb), axis=0))
         else:
-            rl = sum(bk.shape[0] for bk in blocks)
-            rr = sum(bk.shape[2] for bk in blocks)
-            core = np.zeros((rl, n, rr))
-            il = ir = 0
-            for bk in blocks:
-                core[il : il + bk.shape[0], :, ir : ir + bk.shape[2]] = bk
-                il += bk.shape[0]
-                ir += bk.shape[2]
+            (la, n, ra), (lb, _, rb) = ca.shape, cb.shape
+            core = np.zeros((la + lb, n, ra + rb))
+            core[:la, :, :ra] = ca
+            core[la:, :, ra:] = cb
             cores.append(core)
-    return FttTensor(cores, dom)
+    return FttTensor(cores, a.domain)
 
 
 def hadamard(a: FttTensor, b: FttTensor) -> FttTensor:
@@ -320,14 +304,13 @@ def truncate(u: FttTensor, tol: float, max_ranks=None):
         rl, n, rr = cores[k].shape
         m = (cores[k] * np.sqrt(g.weights)[None, :, None]).reshape(rl * n, rr)
         u_svd, s, vt = np.linalg.svd(m, full_matrices=False)
-        schmidt.append(s.copy())
+        schmidt.append(s)
         cap = None if max_ranks is None else max_ranks[k + 1]
         keep = _select_rank(s, delta, cap)
         cores[k] = u_svd[:, :keep].reshape(rl, n, keep) / np.sqrt(g.weights)[None, :, None]
         carry = s[:keep, None] * vt[:keep]
         cores[k + 1] = np.tensordot(carry, cores[k + 1], axes=(1, 0))
-    out = FttTensor(cores, u.domain, left_orth_upto=d - 1)
-    return out, schmidt
+    return FttTensor(cores, u.domain), schmidt
 
 
 def _max_interface_ranks(domain: Domain) -> list[int]:

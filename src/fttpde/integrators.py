@@ -25,6 +25,10 @@ logger = logging.getLogger(__name__)
 
 SCHEMES = ("lie_trotter", "step_truncation", "fixed_rank")
 
+# backward-difference weights per number of points, newest snapshot first:
+# the velocity estimate is sum_k c_k u_{i-k} / dt
+BDF_COEFFS = {2: (1.0, -1.0), 3: (1.5, -2.0, 0.5)}
+
 
 class HistoryNotReadyError(RuntimeError):
     """Not enough snapshots for the requested backward-difference order."""
@@ -45,8 +49,8 @@ class IntegratorConfig:
             raise ValueError(f"dt must be positive, got {self.dt}")
         if self.eps_inc < 0 or self.eps_dec < 0:
             raise ValueError("thresholds must be nonnegative")
-        if self.bdf_points not in (2, 3):
-            raise ValueError(f"bdf_points must be 2 or 3, got {self.bdf_points}")
+        if self.bdf_points not in BDF_COEFFS:
+            raise ValueError(f"bdf_points must be in {tuple(BDF_COEFFS)}, got {self.bdf_points}")
         if self.scheme not in SCHEMES:
             raise ValueError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
 
@@ -121,7 +125,7 @@ def lie_trotter_step(u: FttTensor, delta_u: FttTensor) -> FttTensor:
     x = np.tensordot(left, dcores[d - 1], axes=(1, 0))
     plus = np.tensordot(x, env[d], axes=(2, 0))
     cores_out.append(work + plus)
-    return FttTensor(cores_out, u.domain, left_orth_upto=d - 1)
+    return FttTensor(cores_out, u.domain)
 
 
 # ---------------------------------------------------------------------------
@@ -145,20 +149,12 @@ def bdf_tangent_estimate(history, p: int, dt: float) -> FttTensor:
     """
     if len(history) < p:
         raise HistoryNotReadyError(f"need {p} snapshots, have {len(history)}")
-    if p == 2:
-        u_i = history[-1][1]
-        u_im1 = history[-2][1]
-        est = add(scale(u_i, 1.0 / dt), scale(u_im1, -1.0 / dt))
-    elif p == 3:
-        u_i = history[-1][1]
-        u_im1 = history[-2][1]
-        u_im2 = history[-3][1]
-        est = add(
-            add(scale(u_i, 3.0 / (2 * dt)), scale(u_im1, -4.0 / (2 * dt))),
-            scale(u_im2, 1.0 / (2 * dt)),
-        )
-    else:
-        raise ValueError(f"only 2- and 3-point formulas are supported, got p={p}")
+    if p not in BDF_COEFFS:
+        raise ValueError(f"no {p}-point formula; choose from {tuple(BDF_COEFFS)}")
+    coeffs = BDF_COEFFS[p]
+    est = scale(history[-1][1], coeffs[0] / dt)
+    for k in range(1, p):
+        est = add(est, scale(history[-1 - k][1], coeffs[k] / dt))
     out, _ = truncate(est, 1e-12)
     return out
 

@@ -46,9 +46,11 @@ class SeparableOperator:
 
     def tt_matrix(self, shape: tuple[int, ...]) -> tuple[np.ndarray, ...]:
         """TT-matrix cores of shape (R_{k-1}, n_k, n_k, R_k) on a grid of
-        the given shape, with boundary ranks 1; built once per shape."""
+        the given shape, with boundary ranks 1; built once per shape.
+        Raises ShapeError if a term does not fit the shape."""
         cores = self._tt_cache.get(shape)
         if cores is None:
+            _check_operator_shapes(self, shape)
             cores = _build_tt_matrix(self.terms, shape)
             self._tt_cache[shape] = cores
         return cores
@@ -113,19 +115,18 @@ def _build_tt_matrix(terms, shape: tuple[int, ...]) -> tuple[np.ndarray, ...]:
     return out
 
 
-def _check_operator_shapes(op: SeparableOperator, domain: Domain) -> None:
+def _check_operator_shapes(op: SeparableOperator, shape: tuple[int, ...]) -> None:
     for i, term in enumerate(op.terms):
-        if len(term) != domain.ndim:
-            raise ShapeError(f"term {i} has {len(term)} factors, domain has {domain.ndim} axes")
-        for j, (mat, g) in enumerate(zip(term, domain.axes)):
-            if mat is not None and mat.shape != (g.n, g.n):
-                raise ShapeError(f"term {i} factor {j} is {mat.shape}, expected {(g.n, g.n)}")
+        if len(term) != len(shape):
+            raise ShapeError(f"term {i} has {len(term)} factors, grid has {len(shape)} axes")
+        for j, (mat, n) in enumerate(zip(term, shape)):
+            if mat is not None and mat.shape != (n, n):
+                raise ShapeError(f"term {i} factor {j} is {mat.shape}, expected {(n, n)}")
 
 
 def apply_separable(op: SeparableOperator, u: FttTensor) -> FttTensor:
     """Apply the operator in tensor-train form, core by core through its
     compressed TT-matrix; interface ranks grow by the TT-matrix ranks."""
-    _check_operator_shapes(op, u.domain)
     cores = []
     for a, core in zip(op.tt_matrix(u.domain.shape), u.cores):
         ra, n, _, rb = a.shape

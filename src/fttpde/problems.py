@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -28,20 +27,14 @@ class ProblemSpec:
     domain: Domain
     rhs: RhsEvaluator
     initial: FttTensor
-    reference: "ReferenceSolver"
+    reference: "CharacteristicsReference | DenseRk4Reference"
     params: dict = field(default_factory=dict)
 
 
-class ReferenceSolver:
-    """Produces trusted dense solutions at requested times."""
-
-    def solution(self, t: float) -> np.ndarray:
-        raise NotImplementedError
-
-
-class CharacteristicsReference(ReferenceSolver):
-    """Semi-analytical advection solution: trace each node along the
-    coefficient field and evaluate the initial profile there."""
+class CharacteristicsReference:
+    """Semi-analytical advection solution: carry each node forward along the
+    coefficient field for time t (the inverse of the flow that transports
+    the solution) and evaluate the initial profile there."""
 
     def __init__(self, domain: Domain, velocity, ic_fn, ode_dt: float = 1e-3):
         self.domain = domain
@@ -64,7 +57,7 @@ class CharacteristicsReference(ReferenceSolver):
         return self.ic_fn(*pos)
 
 
-class DenseRk4Reference(ReferenceSolver):
+class DenseRk4Reference:
     """Full tensor-product pseudo-spectral solve advanced incrementally."""
 
     def __init__(self, domain: Domain, rhs_dense, u0: np.ndarray, dt_ref: float):
@@ -163,30 +156,6 @@ def advection2d(n: int = 81, reference_dt: float = 1e-3) -> ProblemSpec:
         dom, _advection_velocity, _advection_ic, ode_dt=reference_dt
     )
     return ProblemSpec("advection2d", dom, rhs, initial, reference)
-
-
-def advection2d_reference(domain: Domain, t: float, ode_dt: float = 1e-3) -> np.ndarray:
-    """Characteristics solution of the advection benchmark at time t.
-
-    Each node is carried forward along the coefficient field for time t
-    (the inverse of the flow along which the solution is transported), then
-    the initial profile is evaluated there.
-    """
-    ref = CharacteristicsReference(domain, _advection_velocity, _advection_ic, ode_dt=ode_dt)
-    return ref.solution(t)
-
-
-def advection2d_rhs_dense(domain: Domain) -> Callable[[np.ndarray], np.ndarray]:
-    """Dense spectral evaluator of the advection right-hand side."""
-    g1, g2 = domain.axes
-    a = np.sin(g1.nodes)[:, None] + np.cos(g2.nodes)[None, :]
-    b = np.cos(g2.nodes)[None, :]
-    d1a, d1b = g1.diff1, g2.diff1
-
-    def rhs(u):
-        return a * (d1a @ u) + b * (u @ d1b.T)
-
-    return rhs
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,6 @@ class RunConfig:
     reference_dt: float | None = None
     output_dir: str | None = None
     snapshot_every: int = 0
-    seed: int | None = None
     n: int | None = None
 
 
@@ -56,7 +55,6 @@ _PARSERS = {
     "reference_dt": float,
     "output_dir": str,
     "snapshot_every": int,
-    "seed": int,
     "n": int,
 }
 
@@ -106,15 +104,8 @@ def _validated_setup(config: RunConfig):
     try:
         # unknown problem, too few grid points, or a value IntegratorConfig rejects
         problem = build_problem(config.problem, n=config.n, reference_dt=config.reference_dt)
-        integ = IntegratorConfig(
-            dt=config.dt,
-            eps_inc=config.eps_inc,
-            eps_dec=config.eps_dec,
-            dec_period=config.dec_period,
-            bdf_points=config.bdf_points,
-            scheme=config.scheme,
-            max_ranks=config.max_ranks,
-        )
+        keys = [f.name for f in fields(IntegratorConfig)]
+        integ = IntegratorConfig(**{k: getattr(config, k) for k in keys})
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     d = problem.domain.ndim

@@ -39,6 +39,19 @@ def kron_matrix(op, shape):
     )
 
 
+def advection2d_rhs_dense(domain):
+    """Dense spectral evaluator of the advection right-hand side."""
+    g1, g2 = domain.axes
+    a = np.sin(g1.nodes)[:, None] + np.cos(g2.nodes)[None, :]
+    b = np.cos(g2.nodes)[None, :]
+    d1a, d1b = g1.diff1, g2.diff1
+
+    def rhs(u):
+        return a * (d1a @ u) + b * (u @ d1b.T)
+
+    return rhs
+
+
 @pytest.fixture
 def dom2():
     return torus_domain(2, 17)

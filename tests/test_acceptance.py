@@ -25,7 +25,7 @@ from fttpde.integrators import (
     step_truncation_step,
 )
 from fttpde.operators import eval_rhs
-from fttpde.problems import advection2d, advection2d_reference, fp4d, l2_error, marginal_2d
+from fttpde.problems import advection2d, fp4d, l2_error, marginal_2d
 from fttpde.runner import parse_config, run_experiment
 
 from conftest import random_ftt, weighted_dense_norm
@@ -170,7 +170,7 @@ def test_criterion_3_consistency_slope():
 def test_criterion_4_adaptive_order():
     t0 = time.perf_counter()
     prob = advection2d(n=81)
-    ref = advection2d_reference(prob.domain, 0.1, ode_dt=1e-4)
+    ref = advection2d(n=81, reference_dt=1e-4).reference.solution(0.1)
     dts = [4e-3, 2e-3, 1e-3, 5e-4]
     errs = []
     for dt in dts:

@@ -17,6 +17,7 @@ from fttpde.ftt import (
 )
 from fttpde.grids import torus_domain
 from fttpde.integrators import (
+    BDF_COEFFS,
     AdaptiveState,
     HistoryNotReadyError,
     IntegratorConfig,
@@ -28,9 +29,9 @@ from fttpde.integrators import (
     step_truncation_step,
 )
 from fttpde.operators import RhsEvaluator, eval_rhs, separable
-from fttpde.problems import advection2d, advection2d_rhs_dense, fp4d
+from fttpde.problems import advection2d, fp4d
 
-from conftest import random_ftt
+from conftest import advection2d_rhs_dense, random_ftt
 
 
 # ---------------------------------------------------------------------------
@@ -267,6 +268,38 @@ def test_config_validation():
         IntegratorConfig(dt=1.0, bdf_points=5)
     with pytest.raises(ValueError):
         IntegratorConfig(dt=1.0, scheme="magic")
+
+
+@pytest.mark.parametrize("dt", [1e-3, 0.1, 0.37])
+def test_bdf3_table_matches_explicit_weights(dom2, rng, dt):
+    # no preset uses three points, so pin the arithmetic of the table here
+    u_im2, u_im1, u_i = (random_ftt(dom2, (1, 2, 1), rng) for _ in range(3))
+    history = [(0.0, u_im2), (dt, u_im1), (2 * dt, u_i)]
+    explicit = add(
+        add(scale(u_i, 3.0 / (2 * dt)), scale(u_im1, -4.0 / (2 * dt))),
+        scale(u_im2, 1.0 / (2 * dt)),
+    )
+    expected, _ = truncate(explicit, 1e-12)
+    got = bdf_tangent_estimate(history, 3, dt)
+    assert len(got.cores) == len(expected.cores)
+    assert all(np.array_equal(a, b) for a, b in zip(got.cores, expected.cores))
+
+
+def test_config_and_estimate_accept_the_same_orders(dom2, rng):
+    history = [(0.1 * i, random_ftt(dom2, (1, 2, 1), rng)) for i in range(6)]
+    for p in range(6):
+        try:
+            IntegratorConfig(dt=0.1, bdf_points=p)
+            config_ok = True
+        except ValueError:
+            config_ok = False
+        try:
+            bdf_tangent_estimate(history, p, 0.1)
+            estimate_ok = True
+        except ValueError:
+            estimate_ok = False
+        assert config_ok == estimate_ok == (p in BDF_COEFFS), p
+    assert set(BDF_COEFFS) == {2, 3}
 
 
 def test_bdf_normal_estimate_matches_dense_oracle():

@@ -11,9 +11,9 @@ from fttpde.operators import (
     eval_rhs,
     separable,
 )
-from fttpde.problems import advection2d, advection2d_rhs_dense, fp4d, kse2d
+from fttpde.problems import advection2d, fp4d, kse2d
 
-from conftest import kron_matrix, random_ftt, weighted_dense_norm
+from conftest import advection2d_rhs_dense, kron_matrix, random_ftt, weighted_dense_norm
 
 
 def identity_op(domain, r=1):
@@ -202,6 +202,14 @@ def test_apply_separable_shape_error(dom2, rng):
     u = random_ftt(dom2, (1, 2, 1), rng)
     with pytest.raises(ShapeError):
         apply_separable(op, u)
+
+
+@pytest.mark.parametrize("shape", [(7, 7, 7), (7, 7, 7, 9)], ids=["too_few_axes", "wrong_size"])
+def test_tt_matrix_rejects_shape_that_does_not_fit(shape):
+    op = fp4d(n=7).rhs.op
+    with pytest.raises(ShapeError):
+        op.tt_matrix(shape)
+    assert shape not in op._tt_cache
 
 
 def test_fokker_planck_operator_matches_dense():

@@ -9,8 +9,6 @@ from fttpde.problems import (
     CharacteristicsReference,
     DenseRk4Reference,
     advection2d,
-    advection2d_reference,
-    advection2d_rhs_dense,
     build_problem,
     fp4d,
     kse2d,
@@ -18,7 +16,7 @@ from fttpde.problems import (
     marginal_2d,
 )
 
-from conftest import kron_matrix, random_ftt, weighted_dense_norm
+from conftest import advection2d_rhs_dense, kron_matrix, random_ftt, weighted_dense_norm
 
 
 # ---------------------------------------------------------------------------
@@ -50,23 +48,21 @@ def test_advection_initial_truncation_error_vs_svd_oracle():
 
 def test_advection_reference_at_t0():
     prob = advection2d(n=33)
-    ref = advection2d_reference(prob.domain, 0.0)
+    ref = prob.reference.solution(0.0)
     x1, x2 = np.meshgrid(prob.domain.axes[0].nodes, prob.domain.axes[1].nodes, indexing="ij")
     assert np.max(np.abs(ref - np.exp(np.sin(x1 + x2)))) <= 1e-14
 
 
 def test_advection_reference_self_convergence():
-    prob = advection2d(n=33)
-    a = advection2d_reference(prob.domain, 0.5, ode_dt=1e-3)
-    b = advection2d_reference(prob.domain, 0.5, ode_dt=5e-4)
+    a = advection2d(n=33, reference_dt=1e-3).reference.solution(0.5)
+    b = advection2d(n=33, reference_dt=5e-4).reference.solution(0.5)
     assert np.max(np.abs(a - b)) <= 1e-8
 
 
 def test_advection_reference_fourth_order_in_ode_dt():
-    prob = advection2d(n=21)
-    tiny = advection2d_reference(prob.domain, 0.5, ode_dt=1e-4)
+    tiny = advection2d(n=21, reference_dt=1e-4).reference.solution(0.5)
     errs = [
-        np.max(np.abs(advection2d_reference(prob.domain, 0.5, ode_dt=dt) - tiny))
+        np.max(np.abs(advection2d(n=21, reference_dt=dt).reference.solution(0.5) - tiny))
         for dt in (2e-2, 1e-2)
     ]
     order = np.log(errs[0] / errs[1]) / np.log(2.0)
@@ -96,7 +92,7 @@ def test_advection_reference_solves_the_pde():
     t = 0.05
     for _ in range(int(round(t / dt))):
         u = rk4_dense_step(u, rhs, dt)
-    ref = advection2d_reference(dom, t, ode_dt=1e-3)
+    ref = prob.reference.solution(t)
     assert l2_error(u, ref, dom) <= 1e-8
 
 

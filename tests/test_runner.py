@@ -296,6 +296,64 @@ def test_cli_failed_job_does_not_stop_others(tmp_path, capsys, jobs):
     assert (tmp_path / "out" / "good" / "summary.json").exists()
 
 
+SMALL_KSE = """
+problem = kse2d
+scheme = lie_trotter
+dt = 1e-5
+t_final = 3e-5
+eps_inc = 10.0
+dec_period = 10
+reference = off
+n = 9
+"""
+
+
+def test_cli_runs_without_output_dir_do_not_overwrite(tmp_path, capsys, monkeypatch):
+    adv = write_cfg(
+        tmp_path, SMALL_ADVECTION.replace("t_final = 0.02", "t_final = 0.002"), name="adv.cfg"
+    )
+    kse = write_cfg(tmp_path, SMALL_KSE, name="kse.cfg")
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    assert cli_main(["run", str(adv), str(kse)]) == 0
+    assert json.loads((work / "adv" / "summary.json").read_text())["problem"] == "advection2d"
+    assert json.loads((work / "kse" / "summary.json").read_text())["problem"] == "kse2d"
+    assert sorted(p.name for p in work.iterdir()) == ["adv", "kse"]
+
+
+def test_cli_run_accepts_preset_names(tmp_path, capsys, monkeypatch):
+    # the preset runs are long, so only the resolution and the output layout
+    # are checked, with run_experiment replaced by a recorder
+    calls = []
+
+    def fake_run(config, output_dir=None):
+        calls.append((config.problem, output_dir))
+        return {"status": "ok"}
+
+    monkeypatch.setattr("fttpde.cli.run_experiment", fake_run)
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "out"
+    assert cli_main(["run", "fp4d_fixed", "kse2d_inc10", "--output-dir", str(out)]) == 0
+    assert calls == [("fp4d", str(out / "fp4d_fixed")), ("kse2d", str(out / "kse2d_inc10"))]
+    assert cli_main(["run", "no_such_preset"]) == 1
+    assert "error: no_such_preset: no config file or preset named" in capsys.readouterr().err
+
+
+def test_cli_rejects_configs_with_the_same_stem(tmp_path, capsys):
+    text = SMALL_ADVECTION.replace("t_final = 0.02", "t_final = 0.002")
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    first = write_cfg(tmp_path / "a", text, name="x.cfg")
+    second = write_cfg(tmp_path / "b", text, name="x.cfg")
+    out = tmp_path / "out"
+    assert cli_main(["run", str(first), str(second), "--output-dir", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert not out.exists()
+
+
 def test_blowup_aborts_with_lastgood_snapshot(tmp_path, capsys):
     # wildly unstable explicit step: the run must stop at the numerical
     # failure, keep the last finite state, and exit nonzero
