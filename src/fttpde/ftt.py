@@ -313,6 +313,62 @@ def truncate(u: FttTensor, tol: float, max_ranks=None):
     return FttTensor(cores, u.domain), schmidt
 
 
+# oversampling of the randomized rounding: sketch ranks exceed the hinted
+# ranks by this much, and a rounded rank within half of it of its sketch
+# rank means the sketch may have missed directions
+SKETCH_OVERSAMPLING = 10
+
+
+def sketch_truncate(x: FttTensor, tol: float, ranks):
+    """Round like truncate(x, tol), first projecting x onto a left-orthogonal
+    train of small sketch ranks (randomize-then-orthogonalize; Al Daas et
+    al., SISC 2023).
+
+    ranks (length d+1) hints at the rounded ranks, e.g. those of the last
+    rounded tensor along the same trajectory.  Sketch ranks are the hint
+    plus SKETCH_OVERSAMPLING, capped by x's ranks and by the grid.  x is
+    contracted from the right with a Gaussian train (fixed seed, so results
+    are reproducible), then swept left to right: a weighted QR of each
+    sketched core, onto which the next core is projected.  The projection
+    ends in truncate.  If a rounded rank comes within half the oversampling
+    of its sketch rank, the sketch ranks double and the rounding is redone.
+    Falls back to truncate(x, tol) when d < 3 or when the sketch ranks do
+    not at least halve x's interior rank sum.
+    """
+    d = x.ndim
+    raw = x.ranks
+    full = [min(r, c) for r, c in zip(raw, _max_interface_ranks(x.domain))]
+    ell = [min(f, h + SKETCH_OVERSAMPLING) for f, h in zip(full, ranks)]
+    weights = [g.weights for g in x.domain.axes]
+    while d >= 3 and 2 * sum(ell[1:-1]) <= sum(raw[1:-1]):
+        rng = np.random.default_rng(0)
+        # sketches[k]: x's cores k.. contracted with the Gaussian cores k..
+        # over the weighted nodes, shape (raw[k], ell[k])
+        sketches = [None] * (d + 1)
+        sketches[d] = np.ones((1, 1))
+        for k in range(d - 1, 0, -1):
+            y = rng.standard_normal((ell[k], x.cores[k].shape[1], ell[k + 1]))
+            z = np.tensordot(x.cores[k], sketches[k + 1], axes=(2, 0))
+            z *= np.sqrt(weights[k])[None, :, None]
+            sketches[k] = np.tensordot(z, y, axes=([1, 2], [1, 2]))
+        cores = []
+        z = x.cores[0]
+        for k in range(d - 1):
+            q, _ = qr_core(np.tensordot(z, sketches[k + 1], axes=(2, 0)), weights[k], "left")
+            cores.append(q)
+            proj = np.tensordot(q * weights[k][None, :, None], z, axes=([0, 1], [0, 1]))
+            z = np.tensordot(proj, x.cores[k + 1], axes=(1, 0))
+        cores.append(z)
+        out, schmidt = truncate(FttTensor(cores, x.domain), tol)
+        if all(
+            ell[k] == full[k] or out.ranks[k] <= ell[k] - SKETCH_OVERSAMPLING // 2
+            for k in range(1, d)
+        ):
+            return out, schmidt
+        ell = [min(f, 2 * e) for f, e in zip(full, ell)]
+    return truncate(x, tol)
+
+
 def _max_interface_ranks(domain: Domain) -> list[int]:
     ns = domain.shape
     caps = [1]

@@ -76,6 +76,9 @@ class AdaptiveState:
     prev_tangent: FttTensor | None = None
     logs: list[StepRecord] = field(default_factory=list)
     eps_inc_warned: bool = False
+    # ranks of the last rounded right-hand side: the rank hint of the next
+    # evaluation (None until the first one)
+    g_ranks: tuple[int, ...] | None = None
 
     @classmethod
     def initial(cls, u: FttTensor, t0: float = 0.0) -> "AdaptiveState":
@@ -178,7 +181,7 @@ def adaptive_step(state: AdaptiveState, rhs: RhsEvaluator, config: IntegratorCon
     rank every dec_period steps."""
     dt = config.dt
     u = state.u
-    g = eval_rhs(rhs, u)
+    g = eval_rhs(rhs, u, state.g_ranks)
 
     normal_norm = None
     event = "none"
@@ -211,7 +214,8 @@ def adaptive_step(state: AdaptiveState, rhs: RhsEvaluator, config: IntegratorCon
                 u = zero_pad(u, n_compressed)
                 added = _interior_rank_sum(u) - before
                 event = f"inc:{added}"
-                g = eval_rhs(rhs, u)
+                # the padded train is the same function, so G's ranks are too
+                g = eval_rhs(rhs, u, g.ranks)
 
     if config.scheme == "step_truncation":
         u_new = step_truncation_step(u, scale(g, dt), config.eps_dec, config.max_ranks)
@@ -233,6 +237,7 @@ def adaptive_step(state: AdaptiveState, rhs: RhsEvaluator, config: IntegratorCon
     state.t = t_new
     state.step_index += 1
     state.prev_tangent = tangent
+    state.g_ranks = g.ranks
     state.history.append((t_new, u_new))
     keep = max(config.bdf_points, 2)
     if len(state.history) > keep:

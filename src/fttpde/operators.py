@@ -8,7 +8,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .ftt import FttTensor, _select_rank, truncate
+from .ftt import FttTensor, _select_rank, sketch_truncate, truncate
 from .grids import Domain, ShapeError
 
 
@@ -176,9 +176,15 @@ class RhsEvaluator:
     g_tol: float = 1e-10
 
 
-def eval_rhs(rhs: RhsEvaluator, u: FttTensor) -> FttTensor:
-    """Evaluate G(u) as a tensor train truncated to g_tol relative error."""
+def eval_rhs(rhs: RhsEvaluator, u: FttTensor, ranks=None) -> FttTensor:
+    """Evaluate G(u) as a tensor train truncated to g_tol relative error.
+
+    ranks (length d+1), when given, hints at the rounded ranks of G, e.g.
+    those of the last evaluation along the same trajectory, and selects the
+    randomized rounding `sketch_truncate`; without it G goes to `truncate`.
+    """
     if not rhs.domain.matches(u.domain):
         raise ShapeError("tensor does not live on the evaluator's domain")
-    out, _ = truncate(rhs.op(u), rhs.g_tol)
+    g = rhs.op(u)
+    out, _ = truncate(g, rhs.g_tol) if ranks is None else sketch_truncate(g, rhs.g_tol, ranks)
     return out

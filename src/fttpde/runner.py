@@ -146,7 +146,6 @@ def run_experiment(config: RunConfig, output_dir=None) -> dict:
     snap_every = config.snapshot_every if config.snapshot_every > 0 else n_steps
 
     with open(out / "run.log", "w") as fh:
-        fh.write(f"problem = {config.problem}\n")
         for f in fields(config):
             fh.write(f"{f.name} = {getattr(config, f.name)}\n")
         for key, val in problem.params.items():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fttpde import ftt
 from fttpde.ftt import (
     DomainMismatchError,
     FttTensor,
@@ -14,11 +15,14 @@ from fttpde.ftt import (
     orthogonalize,
     qr_core,
     scale,
+    sketch_truncate,
     to_full,
     truncate,
     zero_pad,
 )
 from fttpde.grids import ShapeError, torus_domain
+from fttpde.integrators import AdaptiveState, IntegratorConfig, adaptive_step
+from fttpde.problems import fp4d
 
 from conftest import random_ftt, weighted_dense_norm
 
@@ -282,6 +286,87 @@ def test_truncate_max_ranks_cap(dom3, rng):
     u = random_ftt(dom3, (1, 4, 4, 1), rng)
     v, _ = truncate(u, 0.0, max_ranks=(1, 2, 3, 1))
     assert v.ranks == (1, 2, 3, 1)
+
+
+# ---------------------------------------------------------------------------
+# sketch_truncate
+
+def relative_error(approx, exact):
+    return norm(add(approx, scale(exact, -1.0))) / norm(exact)
+
+
+def four_copies(a):
+    """a * (1 + 0.5 - 0.25 + 2), stored with four times a's interior ranks."""
+    return add(add(a, scale(a, 0.5)), add(scale(a, -0.25), scale(a, 2.0)))
+
+
+@pytest.fixture
+def truncate_inputs(monkeypatch):
+    """Ranks of every train that sketch_truncate hands to truncate."""
+    seen = []
+
+    def spy(x, tol, max_ranks=None):
+        seen.append(x.ranks)
+        return truncate(x, tol, max_ranks)
+
+    monkeypatch.setattr(ftt, "truncate", spy)
+    return seen
+
+
+def test_sketch_truncate_meets_g_tol_on_fp4d_states(truncate_inputs):
+    prob = fp4d(n=9)
+    cfg = IntegratorConfig(dt=1e-3, eps_inc=1e-3, eps_dec=1e-8, dec_period=25)
+    state = AdaptiveState.initial(prob.initial)
+    for step in range(6):
+        state = adaptive_step(state, prob.rhs, cfg)
+        if step < 2:
+            continue
+        raw = prob.rhs.op(state.u)
+        truncate_inputs.clear()
+        out, _ = sketch_truncate(raw, prob.rhs.g_tol, state.g_ranks)
+        assert sum(truncate_inputs[0]) < sum(raw.ranks) / 2  # the sketch ran
+        assert relative_error(out, raw) <= prob.rhs.g_tol
+
+
+def test_sketch_truncate_recovers_known_rank(rng, truncate_inputs):
+    dom = torus_domain(3, 48)
+    a = random_ftt(dom, (1, 14, 14, 1), rng)
+    x = four_copies(a)
+    out, _ = sketch_truncate(x, 1e-10, a.ranks)
+    assert truncate_inputs == [(1, 24, 24, 1)]
+    assert out.ranks == a.ranks
+    assert relative_error(out, x) <= 1e-10
+
+
+def test_sketch_truncate_guard_redoes_a_too_small_sketch(rng, truncate_inputs):
+    dom = torus_domain(3, 48)
+    a = random_ftt(dom, (1, 14, 14, 1), rng)
+    x = four_copies(a)
+    out, _ = sketch_truncate(x, 1e-10, (1, 1, 1, 1))
+    assert truncate_inputs == [(1, 11, 11, 1), (1, 22, 22, 1)]
+    assert out.ranks == a.ranks
+    assert relative_error(out, x) <= 1e-10
+
+
+def test_sketch_truncate_is_reproducible(rng):
+    x = four_copies(random_ftt(torus_domain(3, 48), (1, 14, 14, 1), rng))
+    a, _ = sketch_truncate(x, 1e-10, (1, 14, 14, 1))
+    b, _ = sketch_truncate(x, 1e-10, (1, 14, 14, 1))
+    assert all(ca.tobytes() == cb.tobytes() for ca, cb in zip(a.cores, b.cores))
+
+
+@pytest.mark.parametrize(
+    "d, hint",
+    [(2, (1, 1, 1)), (3, (1, 30, 30, 1))],
+    ids=["two_axes", "hint_does_not_halve"],
+)
+def test_sketch_truncate_falls_back_to_truncate(d, hint, rng):
+    a = random_ftt(torus_domain(d, 48), (1,) + (14,) * (d - 1) + (1,), rng)
+    x = four_copies(a)
+    out, schmidt = sketch_truncate(x, 1e-10, hint)
+    ref, ref_schmidt = truncate(x, 1e-10)
+    assert all(c.tobytes() == r.tobytes() for c, r in zip(out.cores, ref.cores))
+    assert all(s.tobytes() == r.tobytes() for s, r in zip(schmidt, ref_schmidt))
 
 
 # ---------------------------------------------------------------------------

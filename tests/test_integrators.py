@@ -207,6 +207,26 @@ def test_infinite_threshold_matches_fixed_rank():
         assert r1.normal_norm == r2.normal_norm
 
 
+def test_interleaved_trajectories_keep_their_own_rank_hints():
+    # the rank hint of the randomized rounding lives in each AdaptiveState,
+    # so two trajectories sharing one evaluator do not steer each other
+    prob = fp4d(n=9)
+    configs = [
+        IntegratorConfig(dt=1e-3, eps_inc=1e-3, eps_dec=1e-8, dec_period=25),
+        IntegratorConfig(dt=1e-3, eps_inc=1e-2, eps_dec=1e-8, dec_period=25),
+    ]
+
+    def run(order):
+        states = [AdaptiveState.initial(prob.initial) for _ in configs]
+        for i in order:
+            adaptive_step(states[i], prob.rhs, configs[i])
+        return [s.logs for s in states]
+
+    alone = run([0] * 6 + [1] * 6)
+    assert alone[0] != alone[1]
+    assert run([0, 1] * 6) == alone
+
+
 def test_rank_increase_triggered(dom2, rng):
     # force growth: tiny threshold, dynamics with large normal component
     g1, g2 = dom2.axes

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -177,6 +178,9 @@ def test_run_log_echoes_parameters(small_run):
     text = (outdir / "run.log").read_text()
     assert "eps_inc = 0.01" in text
     assert "grid = 21x21" in text
+    keys = [line.split(" = ")[0] for line in text.splitlines()]
+    for f in fields(RunConfig):
+        assert keys.count(f.name) == 1, f.name
 
 
 def test_run_log_records_numeric_environment(small_run):
