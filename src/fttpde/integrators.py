@@ -259,9 +259,32 @@ def adaptive_step(state: AdaptiveState, rhs: RhsEvaluator, config: IntegratorCon
 # dense reference stepping
 
 def rk4_dense_step(u: np.ndarray, rhs_dense, dt: float) -> np.ndarray:
-    """Classical fourth-order Runge-Kutta update on dense arrays."""
-    k1 = rhs_dense(u)
-    k2 = rhs_dense(u + 0.5 * dt * k1)
-    k3 = rhs_dense(u + 0.5 * dt * k2)
-    k4 = rhs_dense(u + dt * k3)
-    return u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    """Classical fourth-order Runge-Kutta update on dense arrays, with the
+    operations of u + (dt/6) * (((k1 + 2 k2) + 2 k3) + k4) and of the stages
+    u + (dt/2) k1, u + (dt/2) k2, u + dt k3, in that order.
+
+    Works in place in two arrays of its own, the stage and the sum, and
+    drops each k once it is used, so that malloc hands its memory to the
+    next evaluation.  Never writes into u or into an array rhs_dense
+    returned, since rhs_dense may return its own input."""
+    k = rhs_dense(u)
+    stage = np.multiply(k, 0.5 * dt)
+    np.add(u, stage, out=stage)
+    k2 = rhs_dense(stage)
+    acc = np.multiply(k2, 2.0)
+    np.add(k, acc, out=acc)
+    np.multiply(k2, 0.5 * dt, out=stage)  # k2 is not needed after this
+    np.add(u, stage, out=stage)
+    del k, k2
+    k = rhs_dense(stage)
+    if np.may_share_memory(k, stage):
+        stage = np.empty_like(stage)
+    np.multiply(k, 2.0, out=stage)
+    np.add(acc, stage, out=acc)
+    np.multiply(k, dt, out=stage)
+    np.add(u, stage, out=stage)
+    del k
+    np.add(acc, rhs_dense(stage), out=acc)
+    np.multiply(acc, dt / 6.0, out=acc)
+    np.add(u, acc, out=acc)
+    return acc

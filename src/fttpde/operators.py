@@ -27,7 +27,8 @@ class SeparableOperator:
     matrices on the grid.  The tensor-train path applies the operator as a
     compressed TT-matrix, built on first use for each grid shape and cached
     on the operator; the cached cores are read-only.  The dense path uses
-    the factors classified once into diagonal and dense (`dense_factors`).
+    the factors classified once into diagonal and dense (`dense_factors`),
+    grouped once into batched products (`dense_plan`).
     """
 
     terms: tuple[tuple[np.ndarray | None, ...], ...]
@@ -79,6 +80,49 @@ class SeparableOperator:
                 arr.flags.writeable = False
             plan.append(tuple(dense + diagonal))
         return tuple(plan)
+
+    @cached_property
+    def dense_plan(self) -> tuple[tuple[tuple[int, int, np.ndarray], ...], tuple]:
+        """The terms of `dense_factors` grouped into stacks for
+        `apply_separable_dense`.  A term with one dense factor A on axis j
+        and one diagonal c on axis k is the stack B[i] = c[i] A over
+        i < n_k; terms with the same (j, k) add into one stack.  A term
+        with a single factor joins a stack that acts on its axis: a dense
+        factor as A on axis j, a diagonal as diag(c) on axis j or as c on
+        axis k.  Returns the stacks as (j, k, B), B of shape
+        (n_k, n_j, n_j), and the factors of every other term.  Read-only."""
+        stacks: dict[tuple[int, int], np.ndarray] = {}
+        single, loose = [], []
+        for factors in self.dense_factors:
+            if [is_diag for _, is_diag, _ in factors] == [False, True]:
+                (j, _, mat), (k, _, diag) = factors
+                b = diag.reshape(-1, 1, 1) * mat
+                stacks[j, k] = stacks[j, k] + b if (j, k) in stacks else b
+            elif len(factors) == 1:
+                single.append(factors)
+            else:
+                loose.append(factors)
+        for factors in single:
+            ((axis, is_diag, arr),) = factors
+            for (j, k), b in stacks.items():
+                if axis == j and not is_diag:
+                    b += arr
+                elif axis == j:
+                    b += np.diag(arr.ravel())
+                elif axis == k and is_diag:
+                    b += arr.reshape(-1, 1, 1) * np.eye(b.shape[1])
+                else:
+                    continue
+                break
+            else:
+                loose.append(factors)
+        for b in stacks.values():
+            b.flags.writeable = False
+        # a stack batched over the last axis needs a copy; the first stack
+        # is written straight into the output, so those go last
+        d = len(self.terms[0])
+        order = sorted(stacks, key=lambda jk: jk[1] == d - 1)
+        return tuple((j, k, stacks[j, k]) for j, k in order), tuple(loose)
 
 
 def separable(terms: Sequence[Sequence[np.ndarray | None]]) -> SeparableOperator:
@@ -137,29 +181,74 @@ def apply_separable(op: SeparableOperator, u: FttTensor) -> FttTensor:
 
 
 def apply_separable_dense(op: SeparableOperator, values: np.ndarray) -> np.ndarray:
-    """Dense application, one pass per term: a dense factor is one matrix
-    product on a reshaped view, a diagonal factor a broadcast multiply, an
-    identity is skipped.
+    """Dense application through `op.dense_plan`: each stack is one batched
+    matrix product, added into the output in place; each other term is one
+    pass per factor (a matrix product on a reshaped view for a dense factor,
+    a broadcast multiply for a diagonal one, nothing for an identity).
 
     Never forms the full Kronecker matrix and never writes into `values`;
     used by dense reference solvers and as the oracle against the
     tensor-train path.
     """
     shape = values.shape
-    if any(len(term) != values.ndim for term in op.terms):
-        raise ShapeError(f"operator terms do not all have {values.ndim} factors")
-    out = np.zeros(shape)
-    for factors in op.dense_factors:
+    d = values.ndim
+    if any(len(term) != d for term in op.terms):
+        raise ShapeError(f"operator terms do not all have {d} factors")
+    stacks, loose = op.dense_plan
+    out = np.empty(shape) if stacks else np.zeros(shape)
+    work = np.empty(shape)
+    for s, (j, k, b) in enumerate(stacks):
+        if k < d - 1:
+            piece = out if s == 0 else work
+            _stack_product(b, j, k, values, piece)
+        else:
+            # no view batches over the unit-stride axis: one copy brings it,
+            # and axis j, to the front
+            moved = np.ascontiguousarray(np.moveaxis(values, (k, j), (0, 1)))
+            res = work.reshape(moved.shape)
+            _stack_product(b, 1, 0, moved, res)
+            piece = np.moveaxis(res, (0, 1), (k, j))
+        if s > 0:
+            np.add(out, piece, out=out)
+        elif piece is not out:
+            np.copyto(out, piece)
+    for factors in loose:
         piece = values
         for j, is_diag, arr in factors:
             if is_diag:
                 piece = np.multiply(piece, arr, out=None if piece is values else piece)
-            elif j == len(shape) - 1:
+            elif j == d - 1:
                 piece = (piece.reshape(-1, shape[j]) @ arr.T).reshape(shape)
             else:
                 piece = (arr @ piece.reshape(shape[: j + 1] + (-1,))).reshape(shape)
         np.add(out, piece, out=out)
     return out
+
+
+def _stack_product(b: np.ndarray, j: int, k: int, values: np.ndarray, out: np.ndarray) -> None:
+    """Write sum_y b[x_k][x_j, y] values[..., y, ...], y on axis j, into out
+    as one np.matmul on views, batched over axis k (not the last axis).  b
+    multiplies axis j from the left, or from the right as b^T when j is the
+    last axis.  The other axes merge into one matrix dimension when they are
+    adjacent in memory; otherwise they become more batch axes, over which b
+    broadcasts."""
+    right = j == values.ndim - 1
+    if right:
+        b = b.transpose(0, 2, 1)
+        src, dst, merged = (k,), (0,), (b.shape[0], -1, b.shape[1])
+    else:
+        src, dst, merged = (k, j), (0, 1), b.shape[:2] + (-1,)
+    x, y = np.moveaxis(values, src, dst), np.moveaxis(out, src, dst)
+    try:
+        x, y = x.reshape(merged, copy=False), y.reshape(merged, copy=False)
+    except ValueError:
+        if not right:  # axis j next to the last axis, whose stride is one
+            x, y = np.moveaxis(x, 1, -2), np.moveaxis(y, 1, -2)
+        b = b.reshape(b.shape[:1] + (1,) * (x.ndim - 3) + b.shape[1:])
+    if right:
+        np.matmul(x, b, out=y)
+    else:
+        np.matmul(b, x, out=y)
 
 
 @dataclass(frozen=True)

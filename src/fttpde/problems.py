@@ -49,11 +49,7 @@ class CharacteristicsReference:
             n_steps = max(int(np.ceil(t / self.ode_dt)), 1)
             h = t / n_steps
             for _ in range(n_steps):
-                k1 = self.velocity(pos)
-                k2 = self.velocity(pos + 0.5 * h * k1)
-                k3 = self.velocity(pos + 0.5 * h * k2)
-                k4 = self.velocity(pos + h * k3)
-                pos = pos + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+                pos = rk4_dense_step(pos, self.velocity, h)
         return self.ic_fn(*pos)
 
 
@@ -93,11 +89,12 @@ def l2_error(a: np.ndarray, b: np.ndarray, domain: Domain) -> float:
     b = np.asarray(b)
     if a.shape != b.shape or a.shape != domain.shape:
         raise ShapeError(f"shapes {a.shape}, {b.shape} do not match domain {domain.shape}")
-    diff_sq = (a - b) ** 2
+    diff_sq = np.subtract(a, b, dtype=float)
+    np.square(diff_sq, out=diff_sq)
     for ax, g in enumerate(domain.axes):
         shape = [1] * domain.ndim
         shape[ax] = g.n
-        diff_sq = diff_sq * g.weights.reshape(shape)
+        np.multiply(diff_sq, g.weights.reshape(shape), out=diff_sq)
     return float(np.sqrt(diff_sq.sum()))
 
 

@@ -430,6 +430,45 @@ def test_rk4_scalar_exponential():
     assert abs(out[0] - math.exp(0.1)) <= 1e-7
 
 
+def rk4_closed_formula(u, rhs, dt):
+    k1 = rhs(u)
+    k2 = rhs(u + 0.5 * dt * k1)
+    k3 = rhs(u + 0.5 * dt * k2)
+    k4 = rhs(u + dt * k3)
+    return u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def test_rk4_matches_closed_formula_and_writes_only_its_own_arrays(rng):
+    u = rng.standard_normal((6, 5, 4))
+    u.flags.writeable = False
+    returned = []
+
+    def nonlinear(v):
+        return np.sin(v) * v - 0.3 * v**3
+
+    def rhs(v):
+        out = nonlinear(v)
+        out.flags.writeable = False  # a write into it raises
+        returned.append((out, out.copy()))
+        return out
+
+    out = rk4_dense_step(u, rhs, 0.37)
+    assert len(returned) == 4
+    assert all(np.array_equal(k, saved) for k, saved in returned)
+    assert not any(np.may_share_memory(out, x) for x in [u] + [k for k, _ in returned])
+    assert np.array_equal(out, rk4_closed_formula(u, nonlinear, 0.37))
+
+
+def test_rk4_rhs_returning_its_input(rng):
+    # every k then aliases the stage it was evaluated at
+    u = rng.standard_normal((4, 7))
+    before = u.copy()
+    out = rk4_dense_step(u, lambda v: v, 0.2)
+    assert np.array_equal(u, before)
+    assert np.array_equal(out, rk4_closed_formula(u, lambda v: v, 0.2))
+    assert np.allclose(out, u * (1 + 0.2 + 0.2**2 / 2 + 0.2**3 / 6 + 0.2**4 / 24), rtol=1e-15)
+
+
 def test_rk4_linear_advection_order():
     # constant-coefficient transport: compare against the exact spectral shift
     g = torus_domain(2, 21).axes[0]

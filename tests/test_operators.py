@@ -69,13 +69,11 @@ def uneven_domain(*sizes):
     return make_domain(*(make_periodic_grid(n, 0.0, 2 * np.pi) for n in sizes))
 
 
-@pytest.mark.parametrize("sizes", [(6, 9), (5, 7, 4)], ids=["2d", "3d"])
-def test_apply_separable_dense_matches_kronecker_matrix(sizes, rng):
-    dom = uneven_domain(*sizes)
+def mixed_op(dom, rng):
     d = dom.ndim
-    diags = [np.diag(rng.standard_normal(n)) for n in sizes]
-    mats = [rng.standard_normal((n, n)) for n in sizes]
-    op = separable(
+    diags = [np.diag(rng.standard_normal(g.n)) for g in dom.axes]
+    mats = [rng.standard_normal((g.n, g.n)) for g in dom.axes]
+    return separable(
         [
             tuple(None for _ in range(d)),  # all identities
             tuple(diags),  # only diagonal factors
@@ -86,6 +84,45 @@ def test_apply_separable_dense_matches_kronecker_matrix(sizes, rng):
             (None, dom.axes[1].diff2) + tuple(diags[2:]),
         ]
     )
+
+
+def stacked_terms(dom, rng):
+    """4D terms covering every way a term enters `dense_plan`, with the
+    (j, k) stack, or None for the factor loop, that each should land in."""
+    c = lambda axis: np.diag(rng.standard_normal(dom.shape[axis]))  # noqa: E731
+    a = lambda axis: rng.standard_normal((dom.shape[axis],) * 2)  # noqa: E731
+    _ = None
+    return [
+        ((a(0), c(1), _, _), (0, 1)),  # merged view, batch axis after j
+        ((a(0), c(1), _, _), (0, 1)),  # same (j, k)
+        ((_, a(1), c(2), _), (1, 2)),  # axes before and after: broadcast batch
+        ((c(0), _, _, a(3)), (3, 0)),  # j last: product from the right
+        ((_, c(1), _, a(3)), (3, 1)),  # j last, other axes not adjacent
+        ((_, _, a(2), c(3)), (2, 3)),  # batch axis last: one copy
+        ((_, _, c(2), a(3)), (3, 2)),
+        ((a(0), _, _, _), (0, 1)),  # dense factor alone, as A on axis j
+        ((_, c(1), _, _), (0, 1)),  # diagonal alone, as c on axis k
+        ((_, _, _, c(3)), (3, 0)),  # diagonal alone, as diag(c) on axis j
+        ((_, a(1), _, _), (1, 2)),
+        ((a(0), a(1), _, _), None),  # two dense factors
+        ((_, c(1), c(2), _), None),  # two diagonals
+        ((a(0), c(1), c(2), _), None),
+        ((_, _, _, _), None),
+    ]
+
+
+def stacked_op(dom, rng):
+    return separable([term for term, _ in stacked_terms(dom, rng)])
+
+
+@pytest.mark.parametrize(
+    "sizes, build",
+    [((6, 9), mixed_op), ((5, 7, 4), mixed_op), ((3, 4, 5, 6), stacked_op)],
+    ids=["2d", "3d", "4d_stacks"],
+)
+def test_apply_separable_dense_matches_kronecker_matrix(sizes, build, rng):
+    dom = uneven_domain(*sizes)
+    op = build(dom, rng)
     values = rng.standard_normal(dom.shape)
     values.flags.writeable = False
     before = values.copy()
@@ -94,6 +131,34 @@ def test_apply_separable_dense_matches_kronecker_matrix(sizes, rng):
     assert np.linalg.norm(out - oracle) <= 1e-13 * np.linalg.norm(oracle)
     assert out is not values and not np.shares_memory(out, values)
     assert np.array_equal(values, before)
+
+
+def test_dense_plan_built_once_and_read_only(rng):
+    dom = uneven_domain(3, 4, 5, 6)
+    listed = stacked_terms(dom, rng)
+    op = separable([term for term, _ in listed])
+    plan = op.dense_plan
+    assert op.dense_plan is plan
+    stacks, loose = plan
+    # stacks batched over the last axis come last
+    assert [(j, k) for j, k, _ in stacks] == [(0, 1), (1, 2), (3, 0), (3, 1), (3, 2), (2, 3)]
+    assert len(loose) == sum(key is None for _, key in listed)
+
+    def factor(term, axis):
+        return np.eye(dom.shape[axis]) if term[axis] is None else term[axis]
+
+    for j, k, b in stacks:
+        assert b.shape == (dom.shape[k], dom.shape[j], dom.shape[j])
+        assert not b.flags.writeable
+        # B[i] = sum over its terms of (factor on k)[i, i] * (factor on j)
+        expected = sum(
+            np.diagonal(factor(term, k))[:, None, None] * factor(term, j)
+            for term, key in listed
+            if key == (j, k)
+        )
+        assert np.allclose(b, expected, rtol=0, atol=1e-14)
+        with pytest.raises(ValueError):
+            b[0, 0, 0] = 1.0
 
 
 def test_apply_separable_dense_identity_term_is_a_copy(dom2, rng):

@@ -167,6 +167,17 @@ def test_summary_contents(small_run):
     assert stored["final_error"] < 1e-2
 
 
+def test_summary_reports_reference_time(small_run, tmp_path):
+    _, outdir, summary = small_run
+    stored = json.loads((outdir / "summary.json").read_text())
+    assert stored["reference_s"] == summary["reference_s"] > 0
+    assert stored["reference_s"] < stored["wall_time_s"]
+    off = SMALL_ADVECTION.replace("reference = on", "reference = off")
+    summary_off = run_experiment(parse_config(write_cfg(tmp_path, off)), output_dir=tmp_path / "off")
+    assert summary_off["final_error"] is None
+    assert summary_off["reference_s"] == 0.0
+
+
 def test_snapshot_round_trip_from_run(small_run):
     _, outdir, summary = small_run
     u = snapshots.load(outdir / "snapshot_00000020.fttsnap")
