@@ -10,7 +10,10 @@ except `t_final`, which is shortened to 3 * dec_period * dt.  For each
 preset the report says which `timeseries.csv` columns are byte-identical
 between the trees, the largest relative row difference of each column that
 is not, whether `singular_values.csv` is byte-identical, and the relative
-change in `final_error`.  Exits 1 if any run failed, else 0.
+change in `final_error`.  It also reports each side's cost: `wall_time_s`
+from its `summary.json` and the peak RSS of its own process in MB (from
+that process's rusage).  The two sides run at the same time, so the wall
+times are indicative only.  Exits 1 if any run failed, else 0.
 """
 
 import argparse
@@ -34,9 +37,10 @@ def shortened_config(preset: Path) -> str:
     return re.sub(r"^\s*t_final\s*=.*$", f"t_final = {t_final!r}", text, flags=re.M)
 
 
-def run_preset(src: Path, name: str, work: Path) -> Path | None:
-    """Run one preset from one tree; return its output directory, or None
-    if the preset is missing there or the run failed."""
+def run_preset(src: Path, name: str, work: Path) -> tuple[Path, float] | None:
+    """Run one preset from one tree; return its output directory and the
+    run's peak RSS in MB, or None if the preset is missing there or the run
+    failed."""
     preset = src / "fttpde" / "presets" / f"{name}.cfg"
     if not preset.is_file():
         return None
@@ -45,14 +49,19 @@ def run_preset(src: Path, name: str, work: Path) -> Path | None:
     cfg.write_text(shortened_config(preset))
     env = dict(os.environ, PYTHONPATH=str(src), **{k: "1" for k in THREAD_ENV})
     out = work / "out"
-    proc = subprocess.run(
-        [sys.executable, "-m", "fttpde.cli", "run", str(cfg), "--output-dir", str(out)],
-        env=env, capture_output=True, text=True,
-    )
+    log = work / "stderr.txt"
+    with open(log, "w") as err:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "fttpde.cli", "run", str(cfg), "--output-dir", str(out)],
+            env=env, stdout=subprocess.DEVNULL, stderr=err,
+        )
+        # this child's own rusage; RUSAGE_CHILDREN would mix in the other side
+        _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
     if proc.returncode != 0:
-        print(f"{name}: run from {src} exited {proc.returncode}\n{proc.stderr}", file=sys.stderr)
+        print(f"{name}: run from {src} exited {proc.returncode}\n{log.read_text()}", file=sys.stderr)
         return None
-    return out
+    return out, usage.ru_maxrss / 1024  # kB on Linux
 
 
 def columns(csv_path: Path) -> dict[str, list[str]]:
@@ -73,11 +82,13 @@ def max_rel_diff(xs: list[str] | None, ys: list[str] | None) -> float | None:
         return None
 
 
-def compare(name: str, parent_out: Path, change_out: Path) -> dict:
+def compare(name: str, parent: tuple[Path, float], change: tuple[Path, float]) -> dict:
+    (parent_out, rss_a), (change_out, rss_b) = parent, change
     a = columns(parent_out / "timeseries.csv")
     b = columns(change_out / "timeseries.csv")
-    err_a = json.loads((parent_out / "summary.json").read_text())["final_error"]
-    err_b = json.loads((change_out / "summary.json").read_text())["final_error"]
+    sum_a = json.loads((parent_out / "summary.json").read_text())
+    sum_b = json.loads((change_out / "summary.json").read_text())
+    err_a, err_b = sum_a["final_error"], sum_b["final_error"]
     names = list(a) + [c for c in b if c not in a]
     return {
         "preset": name,
@@ -91,6 +102,8 @@ def compare(name: str, parent_out: Path, change_out: Path) -> dict:
         "final_error_rel_change": (
             abs(err_b - err_a) / abs(err_a) if err_a and err_b is not None else None
         ),
+        "wall_time_s": [sum_a["wall_time_s"], sum_b["wall_time_s"]],
+        "peak_rss_mb": [rss_a, rss_b],
     }
 
 

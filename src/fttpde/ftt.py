@@ -319,46 +319,83 @@ def truncate(u: FttTensor, tol: float, max_ranks=None):
 SKETCH_OVERSAMPLING = 10
 
 
-def sketch_truncate(x: FttTensor, tol: float, ranks):
-    """Round like truncate(x, tol), first projecting x onto a left-orthogonal
+def apply_tt_matrix(a, u: FttTensor) -> FttTensor:
+    """Apply the TT-matrix with cores a[k] of shape (R_{k-1}, n_k, n_k, R_k)
+    to u core by core; interface ranks multiply, the operator's index
+    leading: entry (i, l) of rank R_k r_k is i r_k + l."""
+    cores = []
+    for ak, core in zip(a, u.cores):
+        ra, n, _, rb = ak.shape
+        rl, _, rr = core.shape
+        prod = np.tensordot(ak, core, axes=(2, 1))  # (ra, n, rb, rl, rr)
+        cores.append(prod.transpose(0, 3, 1, 2, 4).reshape(ra * rl, n, rb * rr))
+    return FttTensor(cores, u.domain)
+
+
+def sketch_truncate(x: FttTensor, tol: float, ranks, a=None):
+    """Round like truncate(A x, tol), A the TT-matrix with cores a (the
+    identity when a is None), first projecting A x onto a left-orthogonal
     train of small sketch ranks (randomize-then-orthogonalize; Al Daas et
     al., SISC 2023).
 
     ranks (length d+1) hints at the rounded ranks, e.g. those of the last
     rounded tensor along the same trajectory.  Sketch ranks are the hint
-    plus SKETCH_OVERSAMPLING, capped by x's ranks and by the grid.  x is
+    plus SKETCH_OVERSAMPLING, capped by A x's ranks and by the grid.  A x is
     contracted from the right with a Gaussian train (fixed seed, so results
     are reproducible), then swept left to right: a weighted QR of each
     sketched core, onto which the next core is projected.  The projection
     ends in truncate.  If a rounded rank comes within half the oversampling
     of its sketch rank, the sketch ranks double and the rounding is redone.
-    Falls back to truncate(x, tol) when d < 3 or when the sketch ranks do
-    not at least halve x's interior rank sum.
+    A x is never formed here: every contraction with one of its cores goes
+    through x's core first and then through a's (as in randomized
+    compression of operator-train products; Camaño, Epperly & Tropp, 2025).
+    Falls back to truncate(apply_tt_matrix(a, x), tol) (or truncate(x, tol))
+    when d < 3 or when the sketch ranks do not at least halve A x's
+    interior rank sum.
     """
     d = x.ndim
-    raw = x.ranks
+    raw = x.ranks if a is None else (1,) + tuple(c.shape[3] * r for c, r in zip(a, x.ranks[1:]))
     full = [min(r, c) for r, c in zip(raw, _max_interface_ranks(x.domain))]
     ell = [min(f, h + SKETCH_OVERSAMPLING) for f, h in zip(full, ranks)]
     weights = [g.weights for g in x.domain.axes]
+
+    def times_right(k, s):
+        # core k of A x times s (raw[k+1], m) over its right rank: (raw[k], n, m)
+        if a is None:
+            return np.tensordot(x.cores[k], s, axes=(2, 0))
+        _, n, _, rb = a[k].shape
+        t = np.tensordot(x.cores[k], s.reshape(rb, -1, s.shape[1]), axes=(2, 1))
+        t = np.tensordot(a[k], t, axes=([2, 3], [1, 2]))  # (ra, n, r_{k-1}, m)
+        return t.transpose(0, 2, 1, 3).reshape(raw[k], n, -1)
+
+    def left_times(p, k):
+        # p (m, raw[k]) times core k of A x over its left rank: (m, n, raw[k+1])
+        if a is None:
+            return np.tensordot(p, x.cores[k], axes=(1, 0))
+        ra, n = a[k].shape[:2]
+        t = np.tensordot(p.reshape(len(p), ra, -1), x.cores[k], axes=(2, 0))
+        t = np.tensordot(t, a[k], axes=([1, 2], [0, 2]))  # (m, r_k, n, rb)
+        return t.transpose(0, 2, 3, 1).reshape(len(p), n, raw[k + 1])
+
     while d >= 3 and 2 * sum(ell[1:-1]) <= sum(raw[1:-1]):
         rng = np.random.default_rng(0)
-        # sketches[k]: x's cores k.. contracted with the Gaussian cores k..
+        # sketches[k]: A x's cores k.. contracted with the Gaussian cores k..
         # over the weighted nodes, shape (raw[k], ell[k])
         sketches = [None] * (d + 1)
         sketches[d] = np.ones((1, 1))
         for k in range(d - 1, 0, -1):
             y = rng.standard_normal((ell[k], x.cores[k].shape[1], ell[k + 1]))
-            z = np.tensordot(x.cores[k], sketches[k + 1], axes=(2, 0))
+            z = times_right(k, sketches[k + 1])
             z *= np.sqrt(weights[k])[None, :, None]
             sketches[k] = np.tensordot(z, y, axes=([1, 2], [1, 2]))
         cores = []
-        z = x.cores[0]
+        proj = np.ones((1, 1))
         for k in range(d - 1):
+            z = left_times(proj, k)
             q, _ = qr_core(np.tensordot(z, sketches[k + 1], axes=(2, 0)), weights[k], "left")
             cores.append(q)
             proj = np.tensordot(q * weights[k][None, :, None], z, axes=([0, 1], [0, 1]))
-            z = np.tensordot(proj, x.cores[k + 1], axes=(1, 0))
-        cores.append(z)
+        cores.append(left_times(proj, d - 1))
         out, schmidt = truncate(FttTensor(cores, x.domain), tol)
         if all(
             ell[k] == full[k] or out.ranks[k] <= ell[k] - SKETCH_OVERSAMPLING // 2
@@ -366,7 +403,7 @@ def sketch_truncate(x: FttTensor, tol: float, ranks):
         ):
             return out, schmidt
         ell = [min(f, 2 * e) for f, e in zip(full, ell)]
-    return truncate(x, tol)
+    return truncate(x if a is None else apply_tt_matrix(a, x), tol)
 
 
 def _max_interface_ranks(domain: Domain) -> list[int]:

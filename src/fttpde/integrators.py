@@ -45,10 +45,17 @@ class IntegratorConfig:
     max_ranks: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
-        if self.eps_inc < 0 or self.eps_dec < 0:
-            raise ValueError("thresholds must be nonnegative")
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
+        # eps_inc = inf means never add modes; eps_dec = nan or inf would
+        # truncate every decrement sweep to rank 1
+        if not (self.eps_inc >= 0 and 0 <= self.eps_dec < math.inf):
+            raise ValueError(
+                "eps_inc must be nonnegative and eps_dec nonnegative and finite, "
+                f"got {self.eps_inc} and {self.eps_dec}"
+            )
+        if self.dec_period < 0:
+            raise ValueError(f"dec_period must be nonnegative, got {self.dec_period}")
         if self.bdf_points not in BDF_COEFFS:
             raise ValueError(f"bdf_points must be in {tuple(BDF_COEFFS)}, got {self.bdf_points}")
         if self.scheme not in SCHEMES:
@@ -63,6 +70,8 @@ class StepRecord:
     event: str
     added: int = 0
     removed: int = 0
+    # right-hand-side evaluations of the step: 2 when modes were added
+    rhs_evals: int = 0
 
 
 @dataclass
@@ -182,6 +191,7 @@ def adaptive_step(state: AdaptiveState, rhs: RhsEvaluator, config: IntegratorCon
     dt = config.dt
     u = state.u
     g = eval_rhs(rhs, u, state.g_ranks)
+    rhs_evals = 1
 
     normal_norm = None
     event = "none"
@@ -216,6 +226,7 @@ def adaptive_step(state: AdaptiveState, rhs: RhsEvaluator, config: IntegratorCon
                 event = f"inc:{added}"
                 # the padded train is the same function, so G's ranks are too
                 g = eval_rhs(rhs, u, g.ranks)
+                rhs_evals += 1
 
     if config.scheme == "step_truncation":
         u_new = step_truncation_step(u, scale(g, dt), config.eps_dec, config.max_ranks)
@@ -250,6 +261,7 @@ def adaptive_step(state: AdaptiveState, rhs: RhsEvaluator, config: IntegratorCon
             event=event,
             added=added,
             removed=removed,
+            rhs_evals=rhs_evals,
         )
     )
     return state

@@ -8,7 +8,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .ftt import FttTensor, _select_rank, sketch_truncate, truncate
+from .ftt import FttTensor, _select_rank, apply_tt_matrix, sketch_truncate, truncate
 from .grids import Domain, ShapeError
 
 
@@ -171,13 +171,7 @@ def _check_operator_shapes(op: SeparableOperator, shape: tuple[int, ...]) -> Non
 def apply_separable(op: SeparableOperator, u: FttTensor) -> FttTensor:
     """Apply the operator in tensor-train form, core by core through its
     compressed TT-matrix; interface ranks grow by the TT-matrix ranks."""
-    cores = []
-    for a, core in zip(op.tt_matrix(u.domain.shape), u.cores):
-        ra, n, _, rb = a.shape
-        rl, _, rr = core.shape
-        prod = np.tensordot(a, core, axes=(2, 1))  # (ra, n, rb, rl, rr)
-        cores.append(prod.transpose(0, 3, 1, 2, 4).reshape(ra * rl, n, rb * rr))
-    return FttTensor(cores, u.domain)
+    return apply_tt_matrix(op.tt_matrix(u.domain.shape), u)
 
 
 def apply_separable_dense(op: SeparableOperator, values: np.ndarray) -> np.ndarray:
@@ -271,9 +265,15 @@ def eval_rhs(rhs: RhsEvaluator, u: FttTensor, ranks=None) -> FttTensor:
     ranks (length d+1), when given, hints at the rounded ranks of G, e.g.
     those of the last evaluation along the same trajectory, and selects the
     randomized rounding `sketch_truncate`; without it G goes to `truncate`.
+    A SeparableOperator's G = A u is then sketched through the operator's
+    TT-matrix and u without being formed.
     """
     if not rhs.domain.matches(u.domain):
         raise ShapeError("tensor does not live on the evaluator's domain")
-    g = rhs.op(u)
-    out, _ = truncate(g, rhs.g_tol) if ranks is None else sketch_truncate(g, rhs.g_tol, ranks)
+    if ranks is None:
+        out, _ = truncate(rhs.op(u), rhs.g_tol)
+    elif isinstance(rhs.op, SeparableOperator):
+        out, _ = sketch_truncate(u, rhs.g_tol, ranks, rhs.op.tt_matrix(u.domain.shape))
+    else:
+        out, _ = sketch_truncate(rhs.op(u), rhs.g_tol, ranks)
     return out

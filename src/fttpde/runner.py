@@ -101,6 +101,8 @@ def _validated_setup(config: RunConfig):
     ConfigError for any invalid value before a run writes anything."""
     if config.reference_dt is not None and not config.reference_dt > 0:
         raise ConfigError(f"reference_dt must be positive, got {config.reference_dt}")
+    if config.snapshot_every < 0:
+        raise ConfigError(f"snapshot_every must be nonnegative, got {config.snapshot_every}")
     try:
         # unknown problem, too few grid points, or a value IntegratorConfig rejects
         problem = build_problem(config.problem, n=config.n, reference_dt=config.reference_dt)
@@ -161,6 +163,7 @@ def run_experiment(config: RunConfig, output_dir=None) -> dict:
     last_error = None
     status = "ok"
     inc_events = dec_events = modes_added = modes_removed = 0
+    rhs_evals = g_rank_max = 0
     reference_s = 0.0
 
     def measure_error(u, t):
@@ -204,6 +207,8 @@ def run_experiment(config: RunConfig, output_dir=None) -> dict:
                 break
             final_u, final_t, steps_done = state.u, state.t, step
             rec = state.logs[-1]
+            rhs_evals += rec.rhs_evals
+            g_rank_max = max(g_rank_max, *state.g_ranks[1:-1])
             if rec.added > 0:
                 inc_events += 1
                 modes_added += rec.added
@@ -240,6 +245,8 @@ def run_experiment(config: RunConfig, output_dir=None) -> dict:
         "dec_events": dec_events,
         "modes_added": modes_added,
         "modes_removed": modes_removed,
+        "rhs_evals": rhs_evals,
+        "g_rank_max": g_rank_max,
         "wall_time_s": time.perf_counter() - t_start,
         "reference_s": reference_s,
     }

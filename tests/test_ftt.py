@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fttpde import ftt
+from fttpde import ftt, operators
 from fttpde.ftt import (
     DomainMismatchError,
     FttTensor,
@@ -22,7 +24,8 @@ from fttpde.ftt import (
 )
 from fttpde.grids import ShapeError, torus_domain
 from fttpde.integrators import AdaptiveState, IntegratorConfig, adaptive_step
-from fttpde.problems import fp4d
+from fttpde.operators import apply_separable, eval_rhs, separable
+from fttpde.problems import advection2d, fp4d
 
 from conftest import random_ftt, weighted_dense_norm
 
@@ -367,6 +370,118 @@ def test_sketch_truncate_falls_back_to_truncate(d, hint, rng):
     ref, ref_schmidt = truncate(x, 1e-10)
     assert all(c.tobytes() == r.tobytes() for c, r in zip(out.cores, ref.cores))
     assert all(s.tobytes() == r.tobytes() for s, r in zip(schmidt, ref_schmidt))
+
+
+# ---------------------------------------------------------------------------
+# sketch_truncate through a TT-matrix: G = A u is sketched without being formed
+
+def fp4d_states(steps):
+    """fp4d (n=9) states along an adaptive trajectory, with their rank hints."""
+    prob = fp4d(n=9)
+    cfg = IntegratorConfig(dt=1e-3, eps_inc=1e-3, eps_dec=1e-8, dec_period=25)
+    state = AdaptiveState.initial(prob.initial)
+    for step in range(steps):
+        state = adaptive_step(state, prob.rhs, cfg)
+        yield prob, state.u, state.g_ranks
+
+
+@pytest.fixture
+def product_calls(monkeypatch):
+    """Names of the calls that form a TT-matrix-times-train product."""
+    calls = []
+
+    def spy(name, fn):
+        def wrapped(*args):
+            calls.append(name)
+            return fn(*args)
+
+        return wrapped
+
+    monkeypatch.setattr(operators, "apply_separable", spy("apply_separable", apply_separable))
+    monkeypatch.setattr(ftt, "apply_tt_matrix", spy("apply_tt_matrix", ftt.apply_tt_matrix))
+    return calls
+
+
+def assert_same_bytes(a, b):
+    assert a.ranks == b.ranks
+    assert all(ca.tobytes() == cb.tobytes() for ca, cb in zip(a.cores, b.cores))
+
+
+def test_split_sketch_matches_formed_product_on_fp4d_states(truncate_inputs, product_calls):
+    # from the fourth step on, the first sketch of every state suffices
+    for step, (prob, u, hint) in enumerate(fp4d_states(8)):
+        if step < 3:
+            continue
+        raw = apply_separable(prob.rhs.op, u)
+        formed, _ = sketch_truncate(raw, prob.rhs.g_tol, hint)
+        product_calls.clear()
+        truncate_inputs.clear()
+        out = eval_rhs(prob.rhs, u, hint)
+        assert product_calls == []
+        assert sum(truncate_inputs[0]) < sum(raw.ranks) / 2  # the sketch ran
+        assert out.ranks == formed.ranks
+        assert relative_error(out, formed) <= 1e-12
+        assert relative_error(out, raw) <= prob.rhs.g_tol
+
+
+def rank_two_operator(n):
+    """A 3-axis operator of TT-matrix ranks (1, 2, 2, 1)."""
+    grid = torus_domain(3, n).axes[0]
+    c = np.diag(np.cos(grid.nodes))
+    return separable([(grid.diff1, None, None), (None, None, c)])
+
+
+def test_split_sketch_guard_redoes_a_too_small_sketch(rng, truncate_inputs, product_calls):
+    dom = torus_domain(3, 48)
+    x = four_copies(random_ftt(dom, (1, 7, 7, 1), rng))
+    op = rank_two_operator(48)
+    a = op.tt_matrix(dom.shape)
+    assert [c.shape[3] for c in a] == [2, 2, 1]
+    raw = apply_separable(op, x)  # ranks (1, 56, 56, 1), G of rank at most 14
+    formed, _ = sketch_truncate(raw, 1e-10, (1, 1, 1, 1))
+    truncate_inputs.clear()
+    product_calls.clear()
+    out, _ = sketch_truncate(x, 1e-10, (1, 1, 1, 1), a)
+    assert product_calls == []
+    assert truncate_inputs == [(1, 11, 11, 1), (1, 22, 22, 1)]
+    assert out.ranks == formed.ranks
+    assert relative_error(out, formed) <= 1e-12
+    assert relative_error(out, raw) <= 1e-10
+
+
+def test_split_sketch_is_reproducible(rng):
+    dom = torus_domain(3, 48)
+    x = four_copies(random_ftt(dom, (1, 7, 7, 1), rng))
+    a = rank_two_operator(48).tt_matrix(dom.shape)
+    first, _ = sketch_truncate(x, 1e-10, (1, 14, 14, 1), a)
+    second, _ = sketch_truncate(x, 1e-10, (1, 14, 14, 1), a)
+    assert_same_bytes(first, second)
+
+
+def test_split_sketch_falls_back_to_the_formed_product():
+    # two axes: advection never sketches
+    prob = advection2d(n=17)
+    u = prob.initial
+    out = eval_rhs(prob.rhs, u, (1, 1, 1))
+    assert_same_bytes(out, truncate(apply_separable(prob.rhs.op, u), prob.rhs.g_tol)[0])
+    # fp4d with a hint whose sketch ranks do not halve the raw ranks
+    prob, u, _ = list(fp4d_states(5))[-1]
+    raw = apply_separable(prob.rhs.op, u)
+    out = eval_rhs(prob.rhs, u, raw.ranks)
+    assert_same_bytes(out, truncate(raw, prob.rhs.g_tol)[0])
+
+
+def test_split_sketch_peaks_below_the_formed_product():
+    prob, u, hint = list(fp4d_states(10))[-1]
+    product_bytes = sum(c.nbytes for c in apply_separable(prob.rhs.op, u).cores)
+    eval_rhs(prob.rhs, u, hint)  # the TT-matrix is built and cached
+    tracemalloc.start()
+    try:
+        eval_rhs(prob.rhs, u, hint)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < product_bytes
 
 
 # ---------------------------------------------------------------------------

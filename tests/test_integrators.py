@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -288,6 +289,39 @@ def test_config_validation():
         IntegratorConfig(dt=1.0, bdf_points=5)
     with pytest.raises(ValueError):
         IntegratorConfig(dt=1.0, scheme="magic")
+    # a NaN, an infinite dt or eps_dec, or a negative dec_period
+    for settings in (
+        {"dt": math.nan},
+        {"dt": math.inf},
+        {"dt": 1.0, "eps_inc": math.nan},
+        {"dt": 1.0, "eps_dec": math.nan},
+        {"dt": 1.0, "eps_dec": math.inf},
+        {"dt": 1.0, "dec_period": -1},
+    ):
+        with pytest.raises(ValueError):
+            IntegratorConfig(**settings)
+
+
+EPS_INC_WARNING = "below 10x the backward-difference error estimate"
+
+
+@pytest.mark.parametrize(
+    "eps_inc, scheme, expected",
+    [(1e-3, "lie_trotter", 1), (math.inf, "lie_trotter", 0), (1e-3, "fixed_rank", 0)],
+    ids=["small_threshold", "never_add", "fixed_rank"],
+)
+def test_eps_inc_warning_is_logged_once(caplog, eps_inc, scheme, expected):
+    # on fp4d the backward-difference error estimate reaches 3.4e-3 at step
+    # 3, above eps_inc = 1e-3 / 10
+    prob = fp4d(n=9)
+    cfg = IntegratorConfig(dt=1e-3, eps_inc=eps_inc, eps_dec=1e-8, dec_period=25, scheme=scheme)
+    state = AdaptiveState.initial(prob.initial)
+    with caplog.at_level(logging.WARNING, logger="fttpde.integrators"):
+        for _ in range(6):
+            state = adaptive_step(state, prob.rhs, cfg)
+    warnings = [r for r in caplog.records if EPS_INC_WARNING in r.getMessage()]
+    assert len(warnings) == expected
+    assert state.eps_inc_warned == (expected == 1)
 
 
 @pytest.mark.parametrize("dt", [1e-3, 0.1, 0.37])

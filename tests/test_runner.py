@@ -8,6 +8,8 @@ import pytest
 
 from fttpde import snapshots
 from fttpde.cli import main as cli_main, preset_names, preset_path
+from fttpde.integrators import AdaptiveState, IntegratorConfig, adaptive_step
+from fttpde.problems import fp4d
 from fttpde.runner import ConfigError, RunConfig, parse_config, run_experiment
 
 
@@ -178,6 +180,39 @@ def test_summary_reports_reference_time(small_run, tmp_path):
     assert summary_off["reference_s"] == 0.0
 
 
+SMALL_FP4D = """
+problem = fp4d
+scheme = lie_trotter
+dt = 1e-3
+t_final = 0.006
+eps_inc = 1e-3
+eps_dec = 1e-8
+dec_period = 25
+reference = off
+n = 9
+"""
+
+
+def test_summary_counts_rhs_evaluations_and_g_rank(tmp_path):
+    summary = run_experiment(parse_config(write_cfg(tmp_path, SMALL_FP4D)), tmp_path / "ad")
+    assert summary["inc_events"] > 0
+    assert summary["rhs_evals"] == summary["steps_completed"] + summary["inc_events"]
+    prob = fp4d(n=9)
+    cfg = IntegratorConfig(dt=1e-3, eps_inc=1e-3, eps_dec=1e-8, dec_period=25)
+    state = AdaptiveState.initial(prob.initial)
+    g_rank_max = 0
+    for _ in range(6):
+        state = adaptive_step(state, prob.rhs, cfg)
+        g_rank_max = max(g_rank_max, *state.g_ranks[1:-1])
+    assert summary["g_rank_max"] == g_rank_max
+    assert sum(rec.rhs_evals for rec in state.logs) == summary["rhs_evals"]
+    fixed = SMALL_FP4D.replace("lie_trotter", "fixed_rank")
+    summary = run_experiment(parse_config(write_cfg(tmp_path, fixed)), tmp_path / "fixed")
+    assert summary["rhs_evals"] == summary["steps_completed"] == 6
+    header = (tmp_path / "fixed" / "timeseries.csv").read_text().splitlines()[0]
+    assert header == "t,l2_error,normal_norm,r0,r1,r2,r3,r4,event"
+
+
 def test_snapshot_round_trip_from_run(small_run):
     _, outdir, summary = small_run
     u = snapshots.load(outdir / "snapshot_00000020.fttsnap")
@@ -291,6 +326,57 @@ def test_cli_rejects_invalid_config_before_writing(tmp_path, capsys, text, messa
     assert captured.out == ""
     assert captured.err.startswith(f"error: {cfg}: ")
     assert message in captured.err
+    assert "Traceback" not in captured.err
+    assert not (tmp_path / "out").exists()
+
+
+# non-finite or negative run settings; with eps_dec = nan every decrement
+# sweep used to truncate to rank 1 and the run still ended "ok"
+SMALL_DEC = """
+problem = advection2d
+scheme = lie_trotter
+dt = 1e-3
+t_final = 0.005
+dec_period = 2
+reference = off
+n = 17
+"""
+
+BAD_SETTINGS = pytest.mark.parametrize(
+    "line, key",
+    [
+        ("eps_dec = nan", "eps_dec"),
+        ("eps_inc = nan", "eps_inc"),
+        ("dt = inf", "dt"),
+        ("dec_period = -1", "dec_period"),
+        ("snapshot_every = -1", "snapshot_every"),
+    ],
+    ids=["eps_dec_nan", "eps_inc_nan", "dt_inf", "dec_period_negative", "snapshot_every_negative"],
+)
+
+
+def bad_settings_config(tmp_path, line):
+    key = line.split(" = ")[0]
+    kept = [row for row in SMALL_DEC.splitlines() if not row.startswith(key + " =")]
+    return write_cfg(tmp_path, "\n".join(kept + [line]) + "\n")
+
+
+@BAD_SETTINGS
+def test_run_experiment_rejects_non_finite_and_negative_settings(tmp_path, line, key):
+    config = parse_config(bad_settings_config(tmp_path, line))
+    with pytest.raises(ConfigError, match=key):
+        run_experiment(config, output_dir=tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
+@BAD_SETTINGS
+def test_cli_rejects_non_finite_and_negative_settings(tmp_path, capsys, line, key):
+    cfg = bad_settings_config(tmp_path, line)
+    assert cli_main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {cfg}: ")
+    assert key in captured.err
     assert "Traceback" not in captured.err
     assert not (tmp_path / "out").exists()
 
