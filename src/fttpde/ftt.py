@@ -419,9 +419,12 @@ def zero_pad(u: FttTensor, template: FttTensor) -> FttTensor:
     """Append zero-energy modes: represents u exactly with ranks grown by
     the template's ranks at each interior interface.
 
-    The padded tensor is re-orthogonalized from the left so the new modes
-    are orthonormal directions with zero coefficient.  Template ranks are
-    clipped so padded ranks stay representable on the grid.
+    The padded tensor is right-orthogonalized down to core 2, so cores
+    2..d hold the template's directions beside u's, right-orthonormal, and
+    the zero coefficients sit in core 1 only (right_orth_from = 2).
+    Template ranks are clipped to what the grid leaves free, but to at least
+    1: an interface already at its grid cap is padded one above it, and the
+    right sweep here or the next left sweep drops that mode again.
     """
     _check_same_domain(u, template)
     caps = _max_interface_ranks(u.domain)
@@ -433,5 +436,5 @@ def zero_pad(u: FttTensor, template: FttTensor) -> FttTensor:
         cap_vec[0] = cap_vec[-1] = 1
         template, _ = truncate(template, 0.0, max_ranks=cap_vec)
     padded = add(u, scale(template, 0.0))
-    out, _ = orthogonalize(padded, "left", u.ndim - 1)
+    out, _ = orthogonalize(padded, "right", 2)
     return out

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import logging
 import math
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,6 +17,7 @@ from .ftt import (
     norm,
     qr_core,
     scale,
+    sketch_truncate,
     truncate,
     zero_pad,
 )
@@ -28,6 +30,11 @@ SCHEMES = ("lie_trotter", "step_truncation", "fixed_rank")
 # backward-difference weights per number of points, newest snapshot first:
 # the velocity estimate is sum_k c_k u_{i-k} / dt
 BDF_COEFFS = {2: (1.0, -1.0), 3: (1.5, -2.0, 0.5)}
+
+# the parts of a step timed in AdaptiveState.phase_s: G (both evaluations of
+# an addition step), the normal estimate, the mode addition, the sweep or
+# step-truncation, and the periodic removal
+PHASES = ("rhs", "estimate", "pad", "sweep", "dec")
 
 
 class HistoryNotReadyError(RuntimeError):
@@ -68,9 +75,10 @@ class StepRecord:
     ranks: tuple[int, ...]
     normal_norm: float | None
     event: str
+    # modes the step's sweep kept of those the addition padded in
     added: int = 0
     removed: int = 0
-    # right-hand-side evaluations of the step: 2 when modes were added
+    # right-hand-side evaluations of the step: 2 on an addition step
     rhs_evals: int = 0
 
 
@@ -88,6 +96,8 @@ class AdaptiveState:
     # ranks of the last rounded right-hand side: the rank hint of the next
     # evaluation (None until the first one)
     g_ranks: tuple[int, ...] | None = None
+    # seconds adaptive_step spent in each of PHASES, summed over the steps
+    phase_s: dict[str, float] = field(default_factory=lambda: dict.fromkeys(PHASES, 0.0))
 
     @classmethod
     def initial(cls, u: FttTensor, t0: float = 0.0) -> "AdaptiveState":
@@ -103,8 +113,9 @@ def lie_trotter_step(u: FttTensor, delta_u: FttTensor) -> FttTensor:
     Alternates exactly-solved updates: each axis gets its core enriched by
     the increment contracted against the current left-orthonormal and
     right-orthonormal environments, followed by a compensating subtraction
-    on the connecting matrix.  Output ranks equal input ranks and the
-    result is left-orthogonal.
+    on the connecting matrix.  Output ranks equal input ranks, except that
+    a rank above its grid cap (left of a zero_pad) drops to the cap, and
+    the result is left-orthogonal.
     """
     if not u.domain.matches(delta_u.domain):
         raise ValueError("increment lives on a different domain")
@@ -153,11 +164,15 @@ def step_truncation_step(u: FttTensor, delta_u: FttTensor, tol: float, max_ranks
 # ---------------------------------------------------------------------------
 # normal-component estimation
 
-def bdf_tangent_estimate(history, p: int, dt: float) -> FttTensor:
-    """Backward-difference velocity estimate from stored snapshots.
+def bdf_tangent_estimate(history, p: int, dt: float, ranks=None) -> FttTensor:
+    """Backward-difference velocity estimate from stored snapshots, rounded
+    at relative tolerance 1e-12.
 
     history is a sequence of (t, tensor) pairs ordered by time; the last
-    entry is the current snapshot.
+    entry is the current snapshot.  ranks (length d+1), when given, hints
+    at the rounded ranks, e.g. those of the last estimate along the same
+    trajectory, and selects the randomized rounding `sketch_truncate`;
+    without it the estimate goes to `truncate`.
     """
     if len(history) < p:
         raise HistoryNotReadyError(f"need {p} snapshots, have {len(history)}")
@@ -167,7 +182,10 @@ def bdf_tangent_estimate(history, p: int, dt: float) -> FttTensor:
     est = scale(history[-1][1], coeffs[0] / dt)
     for k in range(1, p):
         est = add(est, scale(history[-1 - k][1], coeffs[k] / dt))
-    out, _ = truncate(est, 1e-12)
+    if ranks is None:
+        out, _ = truncate(est, 1e-12)
+    else:
+        out, _ = sketch_truncate(est, 1e-12, ranks)
     return out
 
 
@@ -187,10 +205,23 @@ def _interior_rank_sum(u: FttTensor) -> int:
 def adaptive_step(state: AdaptiveState, rhs: RhsEvaluator, config: IntegratorConfig) -> AdaptiveState:
     """Advance one step: estimate the normal component, grow rank when it
     exceeds eps_inc, take a splitting (or step-truncation) step, and shrink
-    rank every dec_period steps."""
+    rank every dec_period steps.  The time of each phase is added to
+    state.phase_s."""
     dt = config.dt
+    adaptive = config.scheme == "lie_trotter"
     u = state.u
+    clock = time.perf_counter
+    start = clock()
+
+    def lap(phase):
+        # book the time since the last lap to phase
+        nonlocal start
+        now = clock()
+        state.phase_s[phase] += now - start
+        start = now
+
     g = eval_rhs(rhs, u, state.g_ranks)
+    lap("rhs")
     rhs_evals = 1
 
     normal_norm = None
@@ -200,48 +231,54 @@ def adaptive_step(state: AdaptiveState, rhs: RhsEvaluator, config: IntegratorCon
     p_eff = min(config.bdf_points, len(state.history))
     tangent = None
     if p_eff >= 2:
-        tangent = bdf_tangent_estimate(state.history, p_eff, dt)
+        hint = None if state.prev_tangent is None else state.prev_tangent.ranks
+        tangent = bdf_tangent_estimate(state.history, p_eff, dt, hint)
         n_tensor, normal_norm = normal_component(g, tangent)
-        if config.scheme == "lie_trotter":
-            if (
-                state.prev_tangent is not None
-                and not state.eps_inc_warned
-                and math.isfinite(config.eps_inc)
-            ):
-                drift = norm(add(tangent, scale(state.prev_tangent, -1.0)))
-                est_err = drift / p_eff
-                if config.eps_inc < 10.0 * est_err:
-                    logger.warning(
-                        "eps_inc=%.3g is below 10x the backward-difference error "
-                        "estimate %.3g; spurious mode additions are possible",
-                        config.eps_inc,
-                        est_err,
-                    )
-                    state.eps_inc_warned = True
-            if normal_norm > config.eps_inc:
-                n_compressed, _ = truncate(n_tensor, 1e-2)
-                before = _interior_rank_sum(u)
-                u = zero_pad(u, n_compressed)
-                added = _interior_rank_sum(u) - before
-                event = f"inc:{added}"
-                # the padded train is the same function, so G's ranks are too
-                g = eval_rhs(rhs, u, g.ranks)
-                rhs_evals += 1
+        if (
+            adaptive
+            and state.prev_tangent is not None
+            and not state.eps_inc_warned
+            and math.isfinite(config.eps_inc)
+        ):
+            drift = norm(add(tangent, scale(state.prev_tangent, -1.0)))
+            est_err = drift / p_eff
+            if config.eps_inc < 10.0 * est_err:
+                logger.warning(
+                    "eps_inc=%.3g is below 10x the backward-difference error "
+                    "estimate %.3g; spurious mode additions are possible",
+                    config.eps_inc,
+                    est_err,
+                )
+                state.eps_inc_warned = True
+        lap("estimate")
+
+    padded = adaptive and normal_norm is not None and normal_norm > config.eps_inc
+    if padded:
+        before = _interior_rank_sum(u)
+        n_compressed, _ = truncate(n_tensor, 1e-2)
+        u = zero_pad(u, n_compressed)
+        lap("pad")
+        # the padded train is the same function, so G's ranks are too
+        g = eval_rhs(rhs, u, g.ranks)
+        lap("rhs")
+        rhs_evals += 1
 
     if config.scheme == "step_truncation":
         u_new = step_truncation_step(u, scale(g, dt), config.eps_dec, config.max_ranks)
     else:
         u_new = lie_trotter_step(u, scale(g, dt))
-        if (
-            config.scheme == "lie_trotter"
-            and config.dec_period > 0
-            and (state.step_index + 1) % config.dec_period == 0
-        ):
-            before = _interior_rank_sum(u_new)
-            u_new, _ = truncate(u_new, config.eps_dec)
-            removed = before - _interior_rank_sum(u_new)
-            if removed > 0 and event == "none":
-                event = f"dec:{removed}"
+    lap("sweep")
+    if padded:
+        # the modes the sweep kept: it drops a pad above a grid cap
+        added = _interior_rank_sum(u_new) - before
+        event = f"inc:{added}"
+    if adaptive and config.dec_period > 0 and (state.step_index + 1) % config.dec_period == 0:
+        before = _interior_rank_sum(u_new)
+        u_new, _ = truncate(u_new, config.eps_dec)
+        removed = before - _interior_rank_sum(u_new)
+        if removed > 0 and event == "none":
+            event = f"dec:{removed}"
+        lap("dec")
 
     t_new = state.t + dt
     state.u = u_new

@@ -263,17 +263,15 @@ def eval_rhs(rhs: RhsEvaluator, u: FttTensor, ranks=None) -> FttTensor:
     """Evaluate G(u) as a tensor train truncated to g_tol relative error.
 
     ranks (length d+1), when given, hints at the rounded ranks of G, e.g.
-    those of the last evaluation along the same trajectory, and selects the
-    randomized rounding `sketch_truncate`; without it G goes to `truncate`.
-    A SeparableOperator's G = A u is then sketched through the operator's
-    TT-matrix and u without being formed.
+    those of the last evaluation along the same trajectory.  A
+    SeparableOperator's G = A u then goes to the randomized rounding
+    `sketch_truncate` through the operator's TT-matrix and u, without being
+    formed.  Any other G, and every G without a hint, goes to `truncate`.
     """
     if not rhs.domain.matches(u.domain):
         raise ShapeError("tensor does not live on the evaluator's domain")
-    if ranks is None:
-        out, _ = truncate(rhs.op(u), rhs.g_tol)
-    elif isinstance(rhs.op, SeparableOperator):
+    if ranks is not None and isinstance(rhs.op, SeparableOperator):
         out, _ = sketch_truncate(u, rhs.g_tol, ranks, rhs.op.tt_matrix(u.domain.shape))
     else:
-        out, _ = sketch_truncate(rhs.op(u), rhs.g_tol, ranks)
+        out, _ = truncate(rhs.op(u), rhs.g_tol)
     return out

@@ -164,7 +164,7 @@ def run_experiment(config: RunConfig, output_dir=None) -> dict:
     status = "ok"
     inc_events = dec_events = modes_added = modes_removed = 0
     rhs_evals = g_rank_max = 0
-    reference_s = 0.0
+    reference_s = snapshot_s = 0.0
 
     def measure_error(u, t):
         nonlocal reference_s
@@ -176,11 +176,14 @@ def run_experiment(config: RunConfig, output_dir=None) -> dict:
         return l2_error(to_full(u), exact, dom)
 
     def record_snapshot(u, t, step):
+        nonlocal snapshot_s
+        t_snap = time.perf_counter()
         snapshots.save(u, out / f"snapshot_{step:08d}.fttsnap")
         _, schmidt = truncate(u, 0.0)
         for iface, svec in enumerate(schmidt, start=1):
             for idx, sigma in enumerate(svec):
                 sv_rows.append(f"{_fmt(t)},{iface},{idx},{_fmt(sigma)}")
+        snapshot_s += time.perf_counter() - t_snap
 
     with open(out / "timeseries.csv", "w", newline="") as csv_fh:
         csv_fh.write(",".join(header) + "\n")
@@ -209,7 +212,7 @@ def run_experiment(config: RunConfig, output_dir=None) -> dict:
             rec = state.logs[-1]
             rhs_evals += rec.rhs_evals
             g_rank_max = max(g_rank_max, *state.g_ranks[1:-1])
-            if rec.added > 0:
+            if rec.event.startswith("inc:"):
                 inc_events += 1
                 modes_added += rec.added
             if rec.removed > 0:
@@ -249,6 +252,8 @@ def run_experiment(config: RunConfig, output_dir=None) -> dict:
         "g_rank_max": g_rank_max,
         "wall_time_s": time.perf_counter() - t_start,
         "reference_s": reference_s,
+        "snapshot_s": snapshot_s,
+        "phase_s": state.phase_s,
     }
     with open(out / "summary.json", "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)

@@ -21,6 +21,12 @@ def random_ftt(domain, ranks, rng):
     return FttTensor(cores, domain)
 
 
+def assert_same_bytes(a, b):
+    """a and b have the same ranks and byte-identical cores."""
+    assert a.ranks == b.ranks
+    assert all(ca.tobytes() == cb.tobytes() for ca, cb in zip(a.cores, b.cores))
+
+
 def weighted_dense_norm(values, domain):
     sq = np.asarray(values, dtype=float) ** 2
     for ax, g in enumerate(domain.axes):

@@ -27,7 +27,7 @@ from fttpde.integrators import AdaptiveState, IntegratorConfig, adaptive_step
 from fttpde.operators import apply_separable, eval_rhs, separable
 from fttpde.problems import advection2d, fp4d
 
-from conftest import random_ftt, weighted_dense_norm
+from conftest import assert_same_bytes, random_ftt, weighted_dense_norm
 
 TWO_PI = 2 * np.pi
 
@@ -402,11 +402,6 @@ def product_calls(monkeypatch):
     return calls
 
 
-def assert_same_bytes(a, b):
-    assert a.ranks == b.ranks
-    assert all(ca.tobytes() == cb.tobytes() for ca, cb in zip(a.cores, b.cores))
-
-
 def test_split_sketch_matches_formed_product_on_fp4d_states(truncate_inputs, product_calls):
     # from the fourth step on, the first sketch of every state suffices
     for step, (prob, u, hint) in enumerate(fp4d_states(8)):
@@ -583,10 +578,30 @@ def test_zero_pad_values_and_ranks(dom3, rng):
     assert p.ranks == (1, 5, 4, 1)
     assert np.max(np.abs(to_full(p) - to_full(u))) <= 1e-12 * np.max(np.abs(to_full(u)))
     assert abs(norm(p) - norm(u)) <= 1e-12 * norm(u)
-    # padded interior cores are orthonormal up to the last interface
-    for k in range(2):
-        dev = np.max(np.abs(gram(p.cores[k], dom3.axes[k].weights) - np.eye(p.ranks[k + 1])))
+    # cores 2..d are right-orthonormal, and the train says so
+    assert p.right_orth_from == 2
+    for k in (1, 2):
+        dev = np.max(np.abs(right_gram(p.cores[k], dom3.axes[k].weights) - np.eye(p.ranks[k])))
         assert dev <= 1e-10
+
+
+def right_unfolding(u, k):
+    """Cores k+1..d (1-based) contracted: the (r_k, n_{k+1} ... n_d) matrix
+    whose rows are the train's right directions at interface k."""
+    res = u.cores[k]
+    for core in u.cores[k + 1:]:
+        res = np.tensordot(res, core, axes=(res.ndim - 1, 0))
+    return res.reshape(u.ranks[k], -1)
+
+
+def test_zero_pad_keeps_the_template_directions(dom3, rng):
+    u = random_ftt(dom3, (1, 3, 2, 1), rng)
+    tpl = random_ftt(dom3, (1, 2, 2, 1), rng)
+    p = zero_pad(u, tpl)
+    for k in (1, 2):
+        span, _ = np.linalg.qr(right_unfolding(p, k).T)
+        t = right_unfolding(tpl, k).T
+        assert np.linalg.norm(t - span @ (span.T @ t)) <= 1e-12 * np.linalg.norm(t)
 
 
 def test_zero_pad_block_count():

@@ -1,9 +1,11 @@
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from fttpde import ftt, integrators
 from fttpde.ftt import (
     FttTensor,
     add,
@@ -32,7 +34,7 @@ from fttpde.integrators import (
 from fttpde.operators import RhsEvaluator, eval_rhs, separable
 from fttpde.problems import advection2d, fp4d
 
-from conftest import advection2d_rhs_dense, random_ftt
+from conftest import advection2d_rhs_dense, assert_same_bytes, random_ftt
 
 
 # ---------------------------------------------------------------------------
@@ -159,6 +161,72 @@ def test_insufficient_history_raises(dom2, rng):
         bdf_tangent_estimate([(0.0, u)], 2, 0.1)
 
 
+FP4D_SAWTOOTH = IntegratorConfig(dt=1e-3, eps_inc=1e-3, eps_dec=1e-8, dec_period=25)
+
+
+@pytest.fixture(scope="module")
+def sawtooth_state():
+    """fp4d_inc1e-3 (n=21) after 24 steps: the estimate of step 25 rounds
+    a difference of ranks (1, 42, 227, 42, 1)."""
+    prob = fp4d()
+    state = AdaptiveState.initial(prob.initial)
+    for _ in range(24):
+        state = adaptive_step(state, prob.rhs, FP4D_SAWTOOTH)
+    return state
+
+
+def test_hinted_estimate_matches_truncate_at_the_sawtooth_state(sawtooth_state, monkeypatch):
+    history, hint = sawtooth_state.history, sawtooth_state.prev_tangent.ranks
+    ref = bdf_tangent_estimate(history, 2, 1e-3)
+    inputs = []
+
+    def spy(x, tol, max_ranks=None):
+        inputs.append(x.ranks)
+        return truncate(x, tol, max_ranks)
+
+    monkeypatch.setattr(ftt, "truncate", spy)
+    out = bdf_tangent_estimate(history, 2, 1e-3, hint)
+    raw = add(history[-1][1], history[-2][1]).ranks
+    assert len(inputs) == 1 and sum(inputs[0]) < sum(raw) / 2  # the sketch ran
+    assert out.ranks == ref.ranks
+    assert norm(add(out, scale(ref, -1.0))) <= 1e-11 * norm(ref)
+    assert_same_bytes(bdf_tangent_estimate(history, 2, 1e-3, hint), out)
+
+
+def test_hinted_estimate_peaks_below_8_mib(sawtooth_state):
+    # truncate of the same difference peaks at ~11.9 MiB
+    history, hint = sawtooth_state.history, sawtooth_state.prev_tangent.ranks
+    tracemalloc.start()
+    try:
+        bdf_tangent_estimate(history, 2, 1e-3, hint)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
+def test_unhinted_estimate_is_truncate(sawtooth_state):
+    history = sawtooth_state.history
+    est = add(scale(history[-1][1], 1.0 / 1e-3), scale(history[-2][1], -1.0 / 1e-3))
+    assert_same_bytes(bdf_tangent_estimate(history, 2, 1e-3), truncate(est, 1e-12)[0])
+
+
+@pytest.mark.parametrize(
+    "build, n, scheme",
+    [(advection2d, 17, "lie_trotter"), (fp4d, 9, "fixed_rank")],
+    ids=["two_axes", "rank_one"],
+)
+def test_hinted_estimate_without_a_sketch_is_truncate(build, n, scheme):
+    # fp4d starts at rank 1 and fixed_rank keeps it: the difference has ranks 2
+    prob = build(n=n)
+    cfg = IntegratorConfig(dt=1e-3, dec_period=0, scheme=scheme)
+    state = AdaptiveState.initial(prob.initial)
+    for _ in range(2):
+        state = adaptive_step(state, prob.rhs, cfg)
+    ref = bdf_tangent_estimate(state.history, 2, 1e-3)
+    assert_same_bytes(bdf_tangent_estimate(state.history, 2, 1e-3, ref.ranks), ref)
+
+
 # ---------------------------------------------------------------------------
 # normal component
 
@@ -246,6 +314,28 @@ def test_rank_increase_triggered(dom2, rng):
         state = adaptive_step(state, rhs, cfg)
     assert state.u.ranks[1] > 3
     assert any(rec.event.startswith("inc:") for rec in state.logs)
+
+
+def test_step_after_an_addition_is_continuous_in_g(monkeypatch):
+    # fp4d n=9 adds modes at step 2; the sweep on the padded state must fill
+    # them with G along the template's directions, not with roundoff
+    prob = fp4d(n=9)
+    sweeps = []
+
+    def spy(u, delta_u):
+        sweeps.append((u, delta_u))
+        return lie_trotter_step(u, delta_u)
+
+    monkeypatch.setattr(integrators, "lie_trotter_step", spy)
+    state = AdaptiveState.initial(prob.initial)
+    for _ in range(2):
+        state = adaptive_step(state, prob.rhs, FP4D_SAWTOOTH)
+    assert state.logs[1].event.startswith("inc:")
+    u, delta_u = sweeps[1]
+    assert u.ranks == (1, 5, 6, 5, 1)
+    base = lie_trotter_step(u, delta_u)
+    moved = lie_trotter_step(u, scale(delta_u, 1.0 + 1e-15))
+    assert norm(add(moved, scale(base, -1.0))) <= 1e-14 * norm(base)
 
 
 def test_no_adaptation_on_first_step(dom2, rng):

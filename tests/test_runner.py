@@ -8,7 +8,7 @@ import pytest
 
 from fttpde import snapshots
 from fttpde.cli import main as cli_main, preset_names, preset_path
-from fttpde.integrators import AdaptiveState, IntegratorConfig, adaptive_step
+from fttpde.integrators import PHASES, AdaptiveState, IntegratorConfig, adaptive_step
 from fttpde.problems import fp4d
 from fttpde.runner import ConfigError, RunConfig, parse_config, run_experiment
 
@@ -211,6 +211,44 @@ def test_summary_counts_rhs_evaluations_and_g_rank(tmp_path):
     assert summary["rhs_evals"] == summary["steps_completed"] == 6
     header = (tmp_path / "fixed" / "timeseries.csv").read_text().splitlines()[0]
     assert header == "t,l2_error,normal_norm,r0,r1,r2,r3,r4,event"
+
+
+@pytest.fixture(scope="module")
+def small_fp4d_run(tmp_path_factory):
+    out = tmp_path_factory.mktemp("small_fp4d_run")
+    summary = run_experiment(parse_config(write_cfg(out, SMALL_FP4D)), out / "results")
+    return out / "results", summary
+
+
+def test_inc_labels_count_the_kept_modes(small_fp4d_run):
+    # from step 4 the outer interfaces sit at the grid cap 9, so each
+    # addition pads them by one mode that the sweep drops
+    outdir, summary = small_fp4d_run
+    rows = [line.split(",") for line in (outdir / "timeseries.csv").read_text().splitlines()[1:]]
+    assert [int(row[4]) for row in rows[4:]] == [9] * 3
+    interior = [sum(int(r) for r in row[4:-2]) for row in rows]
+    labels = [(row[-1], growth) for row, growth in zip(rows[1:], np.diff(interior))]
+    inc = [int(event[4:]) for event, _ in labels if event.startswith("inc:")]
+    assert all(int(event[4:]) == growth for event, growth in labels if event.startswith("inc:"))
+    assert len(inc) == summary["inc_events"] > 0
+    assert sum(inc) == summary["modes_added"]
+
+
+def test_summary_reports_time_per_phase(small_run, small_fp4d_run, tmp_path):
+    never_add = SMALL_ADVECTION.replace("eps_inc = 1e-2", "eps_inc = inf")
+    summaries = [
+        small_run[2],
+        small_fp4d_run[1],
+        run_experiment(parse_config(write_cfg(tmp_path, never_add)), tmp_path / "never_add"),
+    ]
+    assert [s["inc_events"] > 0 for s in summaries] == [True, True, False]
+    for summary in summaries:
+        phases = summary["phase_s"]
+        assert sorted(phases) == sorted(PHASES)
+        assert min(phases.values()) >= 0 and summary["snapshot_s"] > 0
+        assert (phases["pad"] > 0) == (summary["inc_events"] > 0)
+        spent = sum(phases.values()) + summary["reference_s"] + summary["snapshot_s"]
+        assert spent <= summary["wall_time_s"]
 
 
 def test_snapshot_round_trip_from_run(small_run):
