@@ -11,8 +11,9 @@ preset the report says which `timeseries.csv` columns are byte-identical
 between the trees, the largest relative row difference of each column that
 is not, whether `singular_values.csv` is byte-identical, and the relative
 change in `final_error`.  It also reports each side's cost: `wall_time_s`
-from its `summary.json` and the peak RSS of its own process in MB (from
-that process's rusage).  The two sides run at the same time, so the wall
+and `reference_s` (the time spent in the reference solution) from its
+`summary.json`, and the peak RSS of its own process in MB (from that
+process's rusage).  The two sides run at the same time, so the wall
 times are indicative only.  Exits 1 if any run failed, else 0.
 """
 
@@ -103,6 +104,7 @@ def compare(name: str, parent: tuple[Path, float], change: tuple[Path, float]) -
             abs(err_b - err_a) / abs(err_a) if err_a and err_b is not None else None
         ),
         "wall_time_s": [sum_a["wall_time_s"], sum_b["wall_time_s"]],
+        "reference_s": [sum_a.get("reference_s"), sum_b.get("reference_s")],
         "peak_rss_mb": [rss_a, rss_b],
     }
 

@@ -10,6 +10,7 @@ calling a dense LAPACK routine.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -267,9 +268,13 @@ def inner(a: FttTensor, b: FttTensor) -> float:
 
 
 def norm(a: FttTensor) -> float:
-    """Weighted L2 norm, computed stably via full left orthogonalization."""
-    _, r = orthogonalize(a, "left", a.ndim)
-    return float(abs(r[0, 0]))
+    """Weighted L2 norm, read off the first core of the right-orthogonal gauge."""
+    return float(_first_core_norm(_right_orthogonalized(a)))
+
+
+def _first_core_norm(v: FttTensor):
+    w0 = v.domain.axes[0].weights
+    return np.sqrt(np.sum(v.cores[0] ** 2 * w0[None, :, None]))
 
 
 def integral(a: FttTensor) -> float:
@@ -292,8 +297,7 @@ def truncate(u: FttTensor, tol: float, max_ranks=None):
     """
     d = u.ndim
     v = _right_orthogonalized(u)
-    w0 = u.domain.axes[0].weights
-    nrm = np.sqrt(np.sum(v.cores[0] ** 2 * w0[None, :, None]))
+    nrm = _first_core_norm(v)
     if nrm == 0.0:
         return _zero_like(u.domain), [np.zeros(1) for _ in range(d - 1)]
     delta = tol * nrm / np.sqrt(d - 1)
@@ -332,31 +336,48 @@ def apply_tt_matrix(a, u: FttTensor) -> FttTensor:
     return FttTensor(cores, u.domain)
 
 
-def sketch_truncate(x: FttTensor, tol: float, ranks, a=None):
+def sketch_truncate(x: FttTensor, tol: float, ranks=None, a=None):
     """Round like truncate(A x, tol), A the TT-matrix with cores a (the
     identity when a is None), first projecting A x onto a left-orthogonal
     train of small sketch ranks (randomize-then-orthogonalize; Al Daas et
     al., SISC 2023).
 
     ranks (length d+1) hints at the rounded ranks, e.g. those of the last
-    rounded tensor along the same trajectory.  Sketch ranks are the hint
-    plus SKETCH_OVERSAMPLING, capped by A x's ranks and by the grid.  A x is
-    contracted from the right with a Gaussian train (fixed seed, so results
-    are reproducible), then swept left to right: a weighted QR of each
-    sketched core, onto which the next core is projected.  The projection
-    ends in truncate.  If a rounded rank comes within half the oversampling
-    of its sketch rank, the sketch ranks double and the rounding is redone.
-    A x is never formed here: every contraction with one of its cores goes
-    through x's core first and then through a's (as in randomized
-    compression of operator-train products; Camaño, Epperly & Tropp, 2025).
-    Falls back to truncate(apply_tt_matrix(a, x), tol) (or truncate(x, tol))
-    when d < 3 or when the sketch ranks do not at least halve A x's
+    rounded tensor along the same trajectory; None means no hint.  Sketch
+    ranks are the hint plus SKETCH_OVERSAMPLING, capped by A x's ranks and
+    by the grid.  A x is contracted from the right with a Gaussian train
+    (fixed seed, so results are reproducible), then swept left to right: a
+    weighted QR of each sketched core, onto which the next core is
+    projected.  The projection ends in truncate.  If a rounded rank comes
+    within half the oversampling of its sketch rank, the sketch ranks
+    double and the rounding is redone.  A x is never formed here: every
+    contraction with one of its cores goes through x's core first and then
+    through a's (as in randomized compression of operator-train products;
+    Camaño, Epperly & Tropp, 2025).  Falls back to
+    truncate(apply_tt_matrix(a, x), tol) (or truncate(x, tol)) when d < 3,
+    without a hint, or when the sketch ranks do not at least halve A x's
     interior rank sum.
     """
     d = x.ndim
     raw = x.ranks if a is None else (1,) + tuple(c.shape[3] * r for c, r in zip(a, x.ranks[1:]))
-    full = [min(r, c) for r, c in zip(raw, _max_interface_ranks(x.domain))]
-    ell = [min(f, h + SKETCH_OVERSAMPLING) for f, h in zip(full, ranks)]
+    ell = None
+    if d >= 3 and ranks is not None:
+        full = [min(r, c) for r, c in zip(raw, _max_interface_ranks(x.domain))]
+        ell = [min(f, h + SKETCH_OVERSAMPLING) for f, h in zip(full, ranks)]
+    while ell is not None and 2 * sum(ell[1:-1]) <= sum(raw[1:-1]):
+        out, schmidt = truncate(_sketch_projection(x, a, raw, ell), tol)
+        if all(
+            ell[k] == full[k] or out.ranks[k] <= ell[k] - SKETCH_OVERSAMPLING // 2
+            for k in range(1, d)
+        ):
+            return out, schmidt
+        ell = [min(f, 2 * e) for f, e in zip(full, ell)]
+    return truncate(x if a is None else apply_tt_matrix(a, x), tol)
+
+
+def _sketch_projection(x: FttTensor, a, raw, ell) -> FttTensor:
+    """One sketch of A x (raw ranks) at ranks ell, as in sketch_truncate."""
+    d = x.ndim
     weights = [g.weights for g in x.domain.axes]
 
     def times_right(k, s):
@@ -377,42 +398,30 @@ def sketch_truncate(x: FttTensor, tol: float, ranks, a=None):
         t = np.tensordot(t, a[k], axes=([1, 2], [0, 2]))  # (m, r_k, n, rb)
         return t.transpose(0, 2, 3, 1).reshape(len(p), n, raw[k + 1])
 
-    while d >= 3 and 2 * sum(ell[1:-1]) <= sum(raw[1:-1]):
-        rng = np.random.default_rng(0)
-        # sketches[k]: A x's cores k.. contracted with the Gaussian cores k..
-        # over the weighted nodes, shape (raw[k], ell[k])
-        sketches = [None] * (d + 1)
-        sketches[d] = np.ones((1, 1))
-        for k in range(d - 1, 0, -1):
-            y = rng.standard_normal((ell[k], x.cores[k].shape[1], ell[k + 1]))
-            z = times_right(k, sketches[k + 1])
-            z *= np.sqrt(weights[k])[None, :, None]
-            sketches[k] = np.tensordot(z, y, axes=([1, 2], [1, 2]))
-        cores = []
-        proj = np.ones((1, 1))
-        for k in range(d - 1):
-            z = left_times(proj, k)
-            q, _ = qr_core(np.tensordot(z, sketches[k + 1], axes=(2, 0)), weights[k], "left")
-            cores.append(q)
-            proj = np.tensordot(q * weights[k][None, :, None], z, axes=([0, 1], [0, 1]))
-        cores.append(left_times(proj, d - 1))
-        out, schmidt = truncate(FttTensor(cores, x.domain), tol)
-        if all(
-            ell[k] == full[k] or out.ranks[k] <= ell[k] - SKETCH_OVERSAMPLING // 2
-            for k in range(1, d)
-        ):
-            return out, schmidt
-        ell = [min(f, 2 * e) for f, e in zip(full, ell)]
-    return truncate(x if a is None else apply_tt_matrix(a, x), tol)
+    rng = np.random.default_rng(0)
+    # sketches[k]: A x's cores k.. contracted with the Gaussian cores k..
+    # over the weighted nodes, shape (raw[k], ell[k])
+    sketches = [None] * (d + 1)
+    sketches[d] = np.ones((1, 1))
+    for k in range(d - 1, 0, -1):
+        y = rng.standard_normal((ell[k], x.cores[k].shape[1], ell[k + 1]))
+        z = times_right(k, sketches[k + 1])
+        z *= np.sqrt(weights[k])[None, :, None]
+        sketches[k] = np.tensordot(z, y, axes=([1, 2], [1, 2]))
+    cores = []
+    proj = np.ones((1, 1))
+    for k in range(d - 1):
+        z = left_times(proj, k)
+        q, _ = qr_core(np.tensordot(z, sketches[k + 1], axes=(2, 0)), weights[k], "left")
+        cores.append(q)
+        proj = np.tensordot(q * weights[k][None, :, None], z, axes=([0, 1], [0, 1]))
+    cores.append(left_times(proj, d - 1))
+    return FttTensor(cores, x.domain)
 
 
 def _max_interface_ranks(domain: Domain) -> list[int]:
     ns = domain.shape
-    caps = [1]
-    for k in range(1, domain.ndim):
-        caps.append(int(min(np.prod(ns[:k]), np.prod(ns[k:]))))
-    caps.append(1)
-    return caps
+    return [1] + [min(math.prod(ns[:k]), math.prod(ns[k:])) for k in range(1, len(ns))] + [1]
 
 
 def zero_pad(u: FttTensor, template: FttTensor) -> FttTensor:

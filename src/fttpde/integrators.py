@@ -171,8 +171,8 @@ def bdf_tangent_estimate(history, p: int, dt: float, ranks=None) -> FttTensor:
     history is a sequence of (t, tensor) pairs ordered by time; the last
     entry is the current snapshot.  ranks (length d+1), when given, hints
     at the rounded ranks, e.g. those of the last estimate along the same
-    trajectory, and selects the randomized rounding `sketch_truncate`;
-    without it the estimate goes to `truncate`.
+    trajectory, for the randomized rounding `sketch_truncate`, which
+    falls back to `truncate` without it.
     """
     if len(history) < p:
         raise HistoryNotReadyError(f"need {p} snapshots, have {len(history)}")
@@ -182,16 +182,15 @@ def bdf_tangent_estimate(history, p: int, dt: float, ranks=None) -> FttTensor:
     est = scale(history[-1][1], coeffs[0] / dt)
     for k in range(1, p):
         est = add(est, scale(history[-1 - k][1], coeffs[k] / dt))
-    if ranks is None:
-        out, _ = truncate(est, 1e-12)
-    else:
-        out, _ = sketch_truncate(est, 1e-12, ranks)
+    out, _ = sketch_truncate(est, 1e-12, ranks)
     return out
 
 
 def normal_component(g: FttTensor, tangent_est: FttTensor) -> tuple[FttTensor, float]:
-    """Residual of the velocity after removing the estimated tangential part."""
-    n_t = add(g, scale(tangent_est, -1.0))
+    """Residual of the velocity after removing the estimated tangential
+    part, right-orthogonalized down to core 2 so that its norm is read off
+    the first core and rounding it skips its own sweep."""
+    n_t = _right_orthogonalized(add(g, scale(tangent_est, -1.0)))
     return n_t, norm(n_t)
 
 

@@ -27,8 +27,8 @@ class SeparableOperator:
     matrices on the grid.  The tensor-train path applies the operator as a
     compressed TT-matrix, built on first use for each grid shape and cached
     on the operator; the cached cores are read-only.  The dense path uses
-    the factors classified once into diagonal and dense (`dense_factors`),
-    grouped once into batched products (`dense_plan`).
+    the factors classified once into diagonal and dense and grouped once
+    into batched products (`dense_plan`).
     """
 
     terms: tuple[tuple[np.ndarray | None, ...], ...]
@@ -57,13 +57,20 @@ class SeparableOperator:
         return cores
 
     @cached_property
-    def dense_factors(self) -> tuple[tuple[tuple[int, bool, np.ndarray], ...], ...]:
-        """Per term, (axis, is_diagonal, array) for each factor that is not
-        the identity, dense factors first so that the diagonal ones can
-        scale the term in place.  A factor whose off-diagonal entries are
-        all exactly zero is stored as its diagonal, shaped to broadcast
-        along its axis; any other factor as the matrix.  Read-only."""
-        plan = []
+    def dense_plan(self) -> tuple[tuple[tuple[int, int, np.ndarray], ...], tuple]:
+        """The terms grouped into stacks for `apply_separable_dense`.  A factor
+        whose off-diagonal entries are all exactly zero counts as a diagonal
+        c, any other as a dense matrix A.  A term of A on axis j and c on
+        axis k is the stack B[i] = c[i] A over i < n_k; terms with the same
+        (j, k) add into one stack.  A term with a single factor joins a stack
+        that acts on its axis: A as A on axis j, c as diag(c) on axis j or as
+        c on axis k.  Returns the stacks as (j, k, B), B of shape
+        (n_k, n_j, n_j), and the factors (axis, is_diagonal, array) of every
+        other term, dense first so that the diagonals, shaped to broadcast
+        along their axis, can scale the term in place.  Read-only."""
+        d = len(self.terms[0])
+        stacks: dict[tuple[int, int], np.ndarray] = {}
+        single, loose = [], []
         for term in self.terms:
             dense, diagonal = [], []
             for j, mat in enumerate(term):
@@ -73,28 +80,12 @@ class SeparableOperator:
                 if np.any(mat - np.diag(diag)):
                     dense.append((j, False, mat.view()))
                 else:
-                    shape = [1] * len(term)
-                    shape[j] = diag.size
+                    shape = (1,) * j + (-1,) + (1,) * (d - 1 - j)
                     diagonal.append((j, True, diag.reshape(shape).copy()))
-            for _, _, arr in dense + diagonal:
+            factors = tuple(dense + diagonal)
+            for _, _, arr in factors:
                 arr.flags.writeable = False
-            plan.append(tuple(dense + diagonal))
-        return tuple(plan)
-
-    @cached_property
-    def dense_plan(self) -> tuple[tuple[tuple[int, int, np.ndarray], ...], tuple]:
-        """The terms of `dense_factors` grouped into stacks for
-        `apply_separable_dense`.  A term with one dense factor A on axis j
-        and one diagonal c on axis k is the stack B[i] = c[i] A over
-        i < n_k; terms with the same (j, k) add into one stack.  A term
-        with a single factor joins a stack that acts on its axis: a dense
-        factor as A on axis j, a diagonal as diag(c) on axis j or as c on
-        axis k.  Returns the stacks as (j, k, B), B of shape
-        (n_k, n_j, n_j), and the factors of every other term.  Read-only."""
-        stacks: dict[tuple[int, int], np.ndarray] = {}
-        single, loose = [], []
-        for factors in self.dense_factors:
-            if [is_diag for _, is_diag, _ in factors] == [False, True]:
+            if len(dense) == len(diagonal) == 1:
                 (j, _, mat), (k, _, diag) = factors
                 b = diag.reshape(-1, 1, 1) * mat
                 stacks[j, k] = stacks[j, k] + b if (j, k) in stacks else b
@@ -120,7 +111,6 @@ class SeparableOperator:
             b.flags.writeable = False
         # a stack batched over the last axis needs a copy; the first stack
         # is written straight into the output, so those go last
-        d = len(self.terms[0])
         order = sorted(stacks, key=lambda jk: jk[1] == d - 1)
         return tuple((j, k, stacks[j, k]) for j, k in order), tuple(loose)
 
@@ -262,15 +252,15 @@ class RhsEvaluator:
 def eval_rhs(rhs: RhsEvaluator, u: FttTensor, ranks=None) -> FttTensor:
     """Evaluate G(u) as a tensor train truncated to g_tol relative error.
 
-    ranks (length d+1), when given, hints at the rounded ranks of G, e.g.
-    those of the last evaluation along the same trajectory.  A
-    SeparableOperator's G = A u then goes to the randomized rounding
-    `sketch_truncate` through the operator's TT-matrix and u, without being
-    formed.  Any other G, and every G without a hint, goes to `truncate`.
+    A SeparableOperator's G = A u goes to `sketch_truncate` through the
+    operator's TT-matrix and u, with ranks (length d+1, or None for no
+    hint) hinting at the rounded ranks, e.g. those of the last evaluation
+    along the same trajectory; the kernel falls back to `truncate` of the
+    formed A u without a hint.  Any other G goes to `truncate`.
     """
     if not rhs.domain.matches(u.domain):
         raise ShapeError("tensor does not live on the evaluator's domain")
-    if ranks is not None and isinstance(rhs.op, SeparableOperator):
+    if isinstance(rhs.op, SeparableOperator):
         out, _ = sketch_truncate(u, rhs.g_tol, ranks, rhs.op.tt_matrix(u.domain.shape))
     else:
         out, _ = truncate(rhs.op(u), rhs.g_tol)

@@ -27,34 +27,14 @@ class ProblemSpec:
     domain: Domain
     rhs: RhsEvaluator
     initial: FttTensor
-    reference: "CharacteristicsReference | DenseRk4Reference"
+    reference: "DenseRk4Reference"
     params: dict = field(default_factory=dict)
 
 
-class CharacteristicsReference:
-    """Semi-analytical advection solution: carry each node forward along the
-    coefficient field for time t (the inverse of the flow that transports
-    the solution) and evaluate the initial profile there."""
-
-    def __init__(self, domain: Domain, velocity, ic_fn, ode_dt: float = 1e-3):
-        self.domain = domain
-        self.velocity = velocity
-        self.ic_fn = ic_fn
-        self.ode_dt = ode_dt
-
-    def solution(self, t: float) -> np.ndarray:
-        grids = np.meshgrid(*[g.nodes for g in self.domain.axes], indexing="ij")
-        pos = np.stack(grids)
-        if t > 0:
-            n_steps = max(int(np.ceil(t / self.ode_dt)), 1)
-            h = t / n_steps
-            for _ in range(n_steps):
-                pos = rk4_dense_step(pos, self.velocity, h)
-        return self.ic_fn(*pos)
-
-
 class DenseRk4Reference:
-    """Full tensor-product pseudo-spectral solve advanced incrementally."""
+    """Full tensor-product pseudo-spectral solve advanced incrementally:
+    each request continues from the last one, so requests must not go back
+    in time."""
 
     def __init__(self, domain: Domain, rhs_dense, u0: np.ndarray, dt_ref: float):
         self.domain = domain
@@ -63,9 +43,10 @@ class DenseRk4Reference:
         self._t = 0.0
         self._u = u0.copy()
 
-    def solution(self, t: float) -> np.ndarray:
-        """State at exactly time t: whole dt_ref steps, then one shorter step
-        when the time left is not a whole number of them."""
+    def _advance(self, t: float) -> np.ndarray:
+        """Step the state to time t and return it: whole dt_ref steps, then
+        one shorter step for the rest, unless the time left is within 1e-9
+        relative of a whole number of steps: then it lands on that step."""
         span = t - self._t
         if span < -1e-12:
             raise ValueError(f"reference already advanced past t={t}")
@@ -80,7 +61,26 @@ class DenseRk4Reference:
         if rest:
             self._u = rk4_dense_step(self._u, self.rhs_dense, rest)
         self._t = t
-        return self._u.copy()
+        return self._u
+
+    def solution(self, t: float) -> np.ndarray:
+        """State at time t, as `_advance` reaches it."""
+        return self._advance(t).copy()
+
+
+class CharacteristicsReference(DenseRk4Reference):
+    """Semi-analytical advection solution: carry each node forward along the
+    coefficient field for time t (the inverse of the flow that transports
+    the solution) and evaluate the initial profile there.  The stacked node
+    positions are the state that the RK4 steps advance."""
+
+    def __init__(self, domain: Domain, velocity, ic_fn, ode_dt: float = 1e-3):
+        grids = np.meshgrid(*[g.nodes for g in domain.axes], indexing="ij")
+        super().__init__(domain, velocity, np.stack(grids), ode_dt)
+        self.ic_fn = ic_fn
+
+    def solution(self, t: float) -> np.ndarray:
+        return self.ic_fn(*self._advance(t))
 
 
 def l2_error(a: np.ndarray, b: np.ndarray, domain: Domain) -> float:
@@ -238,8 +238,8 @@ def fp4d(
     normalized by its L1 norm (integral of |sin| is 4 per axis, so 256)."""
     dom = torus_domain(4, n)
     op = fp4d_operator(dom, alpha, beta, k)
-    grids = np.meshgrid(*[g.nodes for g in dom.axes], indexing="ij")
-    dense_ic = np.sin(grids[0]) * np.sin(grids[1]) * np.sin(grids[2]) * np.sin(grids[3]) / 256.0
+    s1, s2, s3, s4 = np.ix_(*[np.sin(g.nodes) for g in dom.axes])
+    dense_ic = s1 * s2 * s3 * s4 / 256.0
     initial = from_full(dense_ic, dom, 1e-12)
     rhs = RhsEvaluator(domain=dom, op=op)
 

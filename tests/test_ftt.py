@@ -360,8 +360,8 @@ def test_sketch_truncate_is_reproducible(rng):
 
 @pytest.mark.parametrize(
     "d, hint",
-    [(2, (1, 1, 1)), (3, (1, 30, 30, 1))],
-    ids=["two_axes", "hint_does_not_halve"],
+    [(2, (1, 1, 1)), (3, (1, 30, 30, 1)), (3, None)],
+    ids=["two_axes", "hint_does_not_halve", "no_hint"],
 )
 def test_sketch_truncate_falls_back_to_truncate(d, hint, rng):
     a = random_ftt(torus_domain(d, 48), (1,) + (14,) * (d - 1) + (1,), rng)
@@ -464,6 +464,16 @@ def test_split_sketch_falls_back_to_the_formed_product():
     raw = apply_separable(prob.rhs.op, u)
     out = eval_rhs(prob.rhs, u, raw.ranks)
     assert_same_bytes(out, truncate(raw, prob.rhs.g_tol)[0])
+
+
+def test_split_sketch_without_a_hint_truncates_the_formed_product(rng):
+    dom = torus_domain(3, 48)
+    x = four_copies(random_ftt(dom, (1, 7, 7, 1), rng))
+    a = rank_two_operator(48).tt_matrix(dom.shape)
+    out, schmidt = sketch_truncate(x, 1e-10, None, a)
+    ref, ref_schmidt = truncate(ftt.apply_tt_matrix(a, x), 1e-10)
+    assert_same_bytes(out, ref)
+    assert all(s.tobytes() == r.tobytes() for s, r in zip(schmidt, ref_schmidt))
 
 
 def test_split_sketch_peaks_below_the_formed_product():

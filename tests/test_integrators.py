@@ -236,6 +236,19 @@ def test_normal_of_identical_inputs_is_zero(dom2, rng):
     assert nn <= 1e-12 * norm(g)
 
 
+def test_normal_residual_is_right_orthogonal_with_its_norm(dom3, rng):
+    g = random_ftt(dom3, (1, 3, 2, 1), rng)
+    tangent = random_ftt(dom3, (1, 2, 3, 1), rng)
+    n_t, nn = normal_component(g, tangent)
+    assert n_t.right_orth_from == 2
+    exact = norm(add(g, scale(tangent, -1.0)))
+    assert abs(nn - exact) <= 1e-14 * exact
+    # rounding the residual takes no sweep of its own, and rounds it as
+    # rounding the raw difference does
+    assert ftt._right_orthogonalized(n_t) is n_t
+    assert_same_bytes(truncate(n_t, 1e-2)[0], truncate(add(g, scale(tangent, -1.0)), 1e-2)[0])
+
+
 def test_rank_preserving_dynamics_normal_vanishes_with_dt():
     # G(u) = du/dx1 on u = sin(x1): stays rank 1, so the residual is pure
     # backward-difference error and shrinks linearly with dt

@@ -174,20 +174,30 @@ def test_apply_separable_dense_rejects_wrong_dimension(dom2, dom3, rng):
         apply_separable_dense(identity_op(dom2), rng.standard_normal(dom3.shape))
 
 
-def test_dense_factors_classified_once_and_read_only(dom2):
+def test_dense_plan_classifies_factors_once_and_read_only(dom2):
     g1, g2 = dom2.axes
     sin = np.diag(np.sin(g1.nodes))
-    op = separable([(sin, g2.diff1), (None, np.zeros((g2.n, g2.n)))])
-    plan = op.dense_factors
-    assert op.dense_factors is plan
-    assert [[(j, diag) for j, diag, _ in term] for term in plan] == [
-        [(1, False), (0, True)],
-        [(1, True)],
+    cos = np.diag(np.cos(g2.nodes))
+    d1 = g2.diff1.copy()
+    op = separable([(sin, d1), (None, np.zeros((g2.n, g2.n))), (sin, cos)])
+    plan = op.dense_plan
+    assert op.dense_plan is plan
+    stacks, loose = plan
+    # a diagonal times a dense factor is a stack; the all-zero matrix counts
+    # as a diagonal and joins it as diag(0) on the stack's axis
+    ((j, k, b),) = stacks
+    assert (j, k) == (1, 0) and b.shape == (g1.n, g2.n, g2.n)
+    assert np.array_equal(b, np.sin(g1.nodes)[:, None, None] * d1)
+    # two diagonals stay a loose term, each shaped to broadcast along its axis
+    (term,) = loose
+    assert [(axis, is_diag, arr.shape) for axis, is_diag, arr in term] == [
+        (0, True, (g1.n, 1)),
+        (1, True, (1, g2.n)),
     ]
-    assert plan[0][1][2].shape == (g1.n, 1)
-    for term in plan:
-        for _, _, arr in term:
-            assert not arr.flags.writeable
+    for arr in [b] + [arr for _, _, arr in term]:
+        assert not arr.flags.writeable
+    # the operator's own matrices stay as they were
+    assert sin.flags.writeable and d1.flags.writeable
 
 
 def tt_matrix_ranks(op, shape):

@@ -96,6 +96,25 @@ def test_advection_reference_solves_the_pde():
     assert l2_error(u, ref, dom) <= 1e-8
 
 
+def test_characteristics_reference_advances_incrementally():
+    # each request continues from the last one: ten requests make the same
+    # whole steps, byte for byte, as one integration from t = 0
+    ref = advection2d(n=33).reference
+    dom = ref.domain
+    pos = np.stack(np.meshgrid(dom.axes[0].nodes, dom.axes[1].nodes, indexing="ij"))
+    for i in range(1, 11):
+        for _ in range(100):
+            pos = rk4_dense_step(pos, ref.rhs_dense, 1e-3)
+        assert ref.solution(i / 10).tobytes() == ref.ic_fn(*pos).tobytes()
+
+
+def test_characteristics_reference_rejects_going_back_in_time():
+    ref = advection2d(n=33).reference
+    ref.solution(0.2)
+    with pytest.raises(ValueError):
+        ref.solution(0.1)
+
+
 def test_dense_reference_lands_exactly_between_steps(dom2, rng):
     # 0.0025 is two and a half reference steps: a shorter last step must
     # finish the interval instead of stopping at a neighbouring step
@@ -105,6 +124,14 @@ def test_dense_reference_lands_exactly_between_steps(dom2, rng):
     assert np.max(np.abs(got - np.exp(-0.0025) * u0)) <= 1e-12
     got = ref.solution(0.004)
     assert np.max(np.abs(got - np.exp(-0.004) * u0)) <= 1e-12
+    # the characteristics reference steps its node positions the same way:
+    # 0.1005 is half a step past the last request, and one shorter step
+    # lands on it, as a fresh reference whose step divides 0.1005 does
+    ref = advection2d(n=33).reference
+    ref.solution(0.1)
+    got = ref.solution(0.1005)
+    fresh = advection2d(n=33, reference_dt=5e-4).reference.solution(0.1005)
+    assert np.max(np.abs(got - fresh)) <= 1e-13
 
 
 # ---------------------------------------------------------------------------
