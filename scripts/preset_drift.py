@@ -10,11 +10,11 @@ except `t_final`, which is shortened to 3 * dec_period * dt.  For each
 preset the report says which `timeseries.csv` columns are byte-identical
 between the trees, the largest relative row difference of each column that
 is not, whether `singular_values.csv` is byte-identical, and the relative
-change in `final_error`.  It also reports each side's cost: `wall_time_s`
-and `reference_s` (the time spent in the reference solution) from its
-`summary.json`, and the peak RSS of its own process in MB (from that
-process's rusage).  The two sides run at the same time, so the wall
-times are indicative only.  Exits 1 if any run failed, else 0.
+change in `final_error`.  It also reports each side's cost: `wall_time_s`,
+`reference_s` (the time spent in the reference solution) and `phase_s`
+(the time per step phase) from its `summary.json`, and the peak RSS of its
+own process in MB (from that process's rusage).  The two sides run at the
+same time, so the times are indicative only.  Exits 1 if any run failed, else 0.
 """
 
 import argparse
@@ -105,6 +105,7 @@ def compare(name: str, parent: tuple[Path, float], change: tuple[Path, float]) -
         ),
         "wall_time_s": [sum_a["wall_time_s"], sum_b["wall_time_s"]],
         "reference_s": [sum_a.get("reference_s"), sum_b.get("reference_s")],
+        "phase_s": [sum_a.get("phase_s"), sum_b.get("phase_s")],
         "peak_rss_mb": [rss_a, rss_b],
     }
 

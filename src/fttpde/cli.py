@@ -59,7 +59,8 @@ def _cmd_run(args) -> int:
         return 1
     jobs = [(c, args.output_dir, s if multi else None) for c, s in zip(args.config, stems)]
     if args.jobs > 1 and multi:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        # the pool forks all its workers up front: no more than there are runs
+        with concurrent.futures.ProcessPoolExecutor(min(args.jobs, len(jobs))) as pool:
             futures = {pool.submit(_run_one, *job): job[0] for job in jobs}
             done = concurrent.futures.as_completed(futures)
             codes = [_report(futures[f], f.result) for f in done]

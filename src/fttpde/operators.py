@@ -16,6 +16,7 @@ from .grids import Domain, ShapeError
 # removes linear dependences between terms (shared identities and diagonals),
 # whose singular values sit at roundoff level
 _COMPRESS_TOL = 1e-14
+G_TOL = 1e-10  # relative tolerance at which eval_rhs rounds every G, once
 
 
 @dataclass(frozen=True)
@@ -241,16 +242,15 @@ class RhsEvaluator:
 
     `op` maps a tensor train to the unrounded G(u): a SeparableOperator, or
     any function built from tensor-train arithmetic.  eval_rhs rounds its
-    result at relative tolerance g_tol.
+    result once, at relative tolerance G_TOL.
     """
 
     domain: Domain
     op: Callable[[FttTensor], FttTensor]
-    g_tol: float = 1e-10
 
 
 def eval_rhs(rhs: RhsEvaluator, u: FttTensor, ranks=None) -> FttTensor:
-    """Evaluate G(u) as a tensor train truncated to g_tol relative error.
+    """Evaluate G(u) as a tensor train truncated to G_TOL relative error.
 
     A SeparableOperator's G = A u goes to `sketch_truncate` through the
     operator's TT-matrix and u, with ranks (length d+1, or None for no
@@ -261,7 +261,7 @@ def eval_rhs(rhs: RhsEvaluator, u: FttTensor, ranks=None) -> FttTensor:
     if not rhs.domain.matches(u.domain):
         raise ShapeError("tensor does not live on the evaluator's domain")
     if isinstance(rhs.op, SeparableOperator):
-        out, _ = sketch_truncate(u, rhs.g_tol, ranks, rhs.op.tt_matrix(u.domain.shape))
+        out, _ = sketch_truncate(u, G_TOL, ranks, rhs.op.tt_matrix(u.domain.shape))
     else:
-        out, _ = truncate(rhs.op(u), rhs.g_tol)
+        out, _ = truncate(rhs.op(u), G_TOL)
     return out

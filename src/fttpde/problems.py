@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ftt import FttTensor, add, from_full, hadamard, scale, truncate
+from .ftt import FttTensor, add, from_full, hadamard, scale
 from .grids import Domain, ShapeError, torus_domain
 from .integrators import rk4_dense_step
 from .operators import (
@@ -36,8 +36,7 @@ class DenseRk4Reference:
     each request continues from the last one, so requests must not go back
     in time."""
 
-    def __init__(self, domain: Domain, rhs_dense, u0: np.ndarray, dt_ref: float):
-        self.domain = domain
+    def __init__(self, rhs_dense, u0: np.ndarray, dt_ref: float):
         self.rhs_dense = rhs_dense
         self.dt_ref = dt_ref
         self._t = 0.0
@@ -76,7 +75,7 @@ class CharacteristicsReference(DenseRk4Reference):
 
     def __init__(self, domain: Domain, velocity, ic_fn, ode_dt: float = 1e-3):
         grids = np.meshgrid(*[g.nodes for g in domain.axes], indexing="ij")
-        super().__init__(domain, velocity, np.stack(grids), ode_dt)
+        super().__init__(velocity, np.stack(grids), ode_dt)
         self.ic_fn = ic_fn
 
     def solution(self, t: float) -> np.ndarray:
@@ -181,11 +180,8 @@ def kse2d(
     def composite(u: FttTensor) -> FttTensor:
         ux = op_dx(u)
         uy = op_dy(u)
-        sq_x, _ = truncate(hadamard(ux, ux), 1e-12)
-        sq_y, _ = truncate(hadamard(uy, uy), 1e-12)
-        grad_sq = add(sq_x, scale(sq_y, nu**2))
-        lin = op_lin(u)
-        return add(scale(grad_sq, -0.5), lin)
+        grad_sq = add(hadamard(ux, ux), scale(hadamard(uy, uy), nu**2))
+        return add(scale(grad_sq, -0.5), op_lin(u))
 
     x1, x2 = np.meshgrid(g1.nodes, g2.nodes, indexing="ij")
     ic = np.sin(x1 + x2) + np.sin(x1) + np.sin(x2)
@@ -199,7 +195,7 @@ def kse2d(
         return -0.5 * (ux**2 + nu**2 * uy**2) - lap - nu1 * bilap
 
     rhs = RhsEvaluator(domain=dom, op=composite)
-    reference = DenseRk4Reference(dom, rhs_dense, ic, dt_ref=reference_dt)
+    reference = DenseRk4Reference(rhs_dense, ic, dt_ref=reference_dt)
     return ProblemSpec(
         "kse2d", dom, rhs, initial, reference, params={"nu1": nu1, "nu2": nu2, "nu": nu}
     )
@@ -246,7 +242,7 @@ def fp4d(
     def rhs_dense(p):
         return apply_separable_dense(op, p)
 
-    reference = DenseRk4Reference(dom, rhs_dense, dense_ic, dt_ref=reference_dt)
+    reference = DenseRk4Reference(rhs_dense, dense_ic, dt_ref=reference_dt)
     return ProblemSpec(
         "fp4d", dom, rhs, initial, reference, params={"alpha": alpha, "beta": beta, "k": k}
     )

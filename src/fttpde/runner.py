@@ -146,6 +146,7 @@ def run_experiment(config: RunConfig, output_dir=None) -> dict:
 
     reference = problem.reference if config.reference else None
     snap_every = config.snapshot_every if config.snapshot_every > 0 else n_steps
+    blas_threads = os.environ.get("OPENBLAS_NUM_THREADS", "unset")
 
     with open(out / "run.log", "w") as fh:
         for f in fields(config):
@@ -155,7 +156,7 @@ def run_experiment(config: RunConfig, output_dir=None) -> dict:
         fh.write(f"grid = {'x'.join(str(n) for n in dom.shape)}\n")
         fh.write(f"n_steps = {n_steps}\n")
         fh.write(f"numpy = {np.__version__}\n")
-        fh.write(f"blas_threads = {os.environ.get('OPENBLAS_NUM_THREADS', 'unset')}\n")
+        fh.write(f"blas_threads = {blas_threads}\n")
 
     header = ["t", "l2_error", "normal_norm"] + [f"r{k}" for k in range(d + 1)] + ["event"]
     sv_rows = ["t,interface,index,sigma"]
@@ -254,6 +255,7 @@ def run_experiment(config: RunConfig, output_dir=None) -> dict:
         "reference_s": reference_s,
         "snapshot_s": snapshot_s,
         "phase_s": state.phase_s,
+        "blas_threads": blas_threads,
     }
     with open(out / "summary.json", "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)

@@ -326,9 +326,9 @@ def test_sketch_truncate_meets_g_tol_on_fp4d_states(truncate_inputs):
             continue
         raw = prob.rhs.op(state.u)
         truncate_inputs.clear()
-        out, _ = sketch_truncate(raw, prob.rhs.g_tol, state.g_ranks)
+        out, _ = sketch_truncate(raw, operators.G_TOL, state.g_ranks)
         assert sum(truncate_inputs[0]) < sum(raw.ranks) / 2  # the sketch ran
-        assert relative_error(out, raw) <= prob.rhs.g_tol
+        assert relative_error(out, raw) <= operators.G_TOL
 
 
 def test_sketch_truncate_recovers_known_rank(rng, truncate_inputs):
@@ -408,7 +408,7 @@ def test_split_sketch_matches_formed_product_on_fp4d_states(truncate_inputs, pro
         if step < 3:
             continue
         raw = apply_separable(prob.rhs.op, u)
-        formed, _ = sketch_truncate(raw, prob.rhs.g_tol, hint)
+        formed, _ = sketch_truncate(raw, operators.G_TOL, hint)
         product_calls.clear()
         truncate_inputs.clear()
         out = eval_rhs(prob.rhs, u, hint)
@@ -416,7 +416,7 @@ def test_split_sketch_matches_formed_product_on_fp4d_states(truncate_inputs, pro
         assert sum(truncate_inputs[0]) < sum(raw.ranks) / 2  # the sketch ran
         assert out.ranks == formed.ranks
         assert relative_error(out, formed) <= 1e-12
-        assert relative_error(out, raw) <= prob.rhs.g_tol
+        assert relative_error(out, raw) <= operators.G_TOL
 
 
 def rank_two_operator(n):
@@ -458,12 +458,12 @@ def test_split_sketch_falls_back_to_the_formed_product():
     prob = advection2d(n=17)
     u = prob.initial
     out = eval_rhs(prob.rhs, u, (1, 1, 1))
-    assert_same_bytes(out, truncate(apply_separable(prob.rhs.op, u), prob.rhs.g_tol)[0])
+    assert_same_bytes(out, truncate(apply_separable(prob.rhs.op, u), operators.G_TOL)[0])
     # fp4d with a hint whose sketch ranks do not halve the raw ranks
     prob, u, _ = list(fp4d_states(5))[-1]
     raw = apply_separable(prob.rhs.op, u)
     out = eval_rhs(prob.rhs, u, raw.ranks)
-    assert_same_bytes(out, truncate(raw, prob.rhs.g_tol)[0])
+    assert_same_bytes(out, truncate(raw, operators.G_TOL)[0])
 
 
 def test_split_sketch_without_a_hint_truncates_the_formed_product(rng):

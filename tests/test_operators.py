@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fttpde import operators
+from fttpde import ftt, operators, problems
 from fttpde.ftt import from_full, to_full
 from fttpde.grids import ShapeError, make_domain, make_periodic_grid, torus_domain
 from fttpde.operators import (
@@ -321,6 +321,24 @@ def test_kse_rhs_matches_dense():
     out = to_full(eval_rhs(prob.rhs, prob.initial))
     oracle = prob.reference.rhs_dense(to_full(prob.initial))
     assert weighted_dense_norm(out - oracle, prob.domain) <= 1e-8
+
+
+def test_eval_rhs_rounds_kse_composite_once(monkeypatch):
+    # the composite returns its unrounded G: the one truncate is eval_rhs's
+    prob = kse2d(n=17)
+    tols = []
+    original = ftt.truncate
+
+    def spy(a, tol, *args, **kwargs):
+        tols.append(tol)
+        return original(a, tol, *args, **kwargs)
+
+    for mod in (ftt, operators, problems):
+        for name, value in list(vars(mod).items()):
+            if value is original:
+                monkeypatch.setattr(mod, name, spy)
+    eval_rhs(prob.rhs, prob.initial)
+    assert tols == [operators.G_TOL]
 
 
 def test_kse_rhs_matches_dense_random_low_rank(rng):

@@ -99,8 +99,8 @@ def test_advection_reference_solves_the_pde():
 def test_characteristics_reference_advances_incrementally():
     # each request continues from the last one: ten requests make the same
     # whole steps, byte for byte, as one integration from t = 0
-    ref = advection2d(n=33).reference
-    dom = ref.domain
+    prob = advection2d(n=33)
+    ref, dom = prob.reference, prob.domain
     pos = np.stack(np.meshgrid(dom.axes[0].nodes, dom.axes[1].nodes, indexing="ij"))
     for i in range(1, 11):
         for _ in range(100):
@@ -119,7 +119,7 @@ def test_dense_reference_lands_exactly_between_steps(dom2, rng):
     # 0.0025 is two and a half reference steps: a shorter last step must
     # finish the interval instead of stopping at a neighbouring step
     u0 = rng.standard_normal(dom2.shape)
-    ref = DenseRk4Reference(dom2, lambda u: -u, u0, dt_ref=1e-3)
+    ref = DenseRk4Reference(lambda u: -u, u0, dt_ref=1e-3)
     got = ref.solution(0.0025)
     assert np.max(np.abs(got - np.exp(-0.0025) * u0)) <= 1e-12
     got = ref.solution(0.004)
@@ -157,15 +157,6 @@ def test_kse_initial_rank_from_svd_oracle():
     assert np.allclose(sv[:2], np.sqrt(3.0) * np.pi)
     assert prob.initial.ranks == (1, oracle_rank, 1)
     assert weighted_dense_norm(to_full(prob.initial) - vals, dom) <= 1e-10
-
-
-def test_kse_rhs_at_t0_matches_dense():
-    prob = kse2d(n=33)
-    from fttpde.operators import eval_rhs
-
-    out = to_full(eval_rhs(prob.rhs, prob.initial))
-    oracle = prob.reference.rhs_dense(to_full(prob.initial))
-    assert weighted_dense_norm(out - oracle, prob.domain) <= 1e-8
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import math
 import os
@@ -273,6 +274,8 @@ def test_run_log_records_numeric_environment(small_run):
     assert f"numpy = {np.__version__}" in lines
     threads = os.environ.get("OPENBLAS_NUM_THREADS", "unset")
     assert f"blas_threads = {threads}" in lines
+    summary = json.loads((outdir / "summary.json").read_text())
+    assert summary["blas_threads"] == threads
 
 
 def test_rerun_is_byte_identical(small_run, tmp_path):
@@ -433,6 +436,35 @@ def test_cli_failed_job_does_not_stop_others(tmp_path, capsys, jobs):
     summaries = [json.loads(line) for line in captured.out.splitlines()]
     assert [s["status"] for s in summaries] == ["ok"]
     assert (tmp_path / "out" / "good" / "summary.json").exists()
+
+
+def test_cli_pool_has_no_more_workers_than_runs(tmp_path, capsys, monkeypatch):
+    # the stdlib pool forks every worker up front, so --jobs beyond the
+    # number of configs must not reach it; an inline stand-in records it
+    workers = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    small = SMALL_ADVECTION.replace("t_final = 0.02", "t_final = 0.005")
+    cfgs = [str(write_cfg(tmp_path, small, name=f"{name}.cfg")) for name in ("a", "b")]
+    rc = cli_main(["run", *cfgs, "--output-dir", str(tmp_path / "out"), "--jobs", "64"])
+    capsys.readouterr()
+    assert rc == 0
+    assert workers == [2]
 
 
 SMALL_KSE = """
