@@ -9,8 +9,12 @@ with OPENBLAS_NUM_THREADS=1, keeping every key of that tree's preset file
 except `t_final`, which is shortened to 3 * dec_period * dt.  For each
 preset the report says which `timeseries.csv` columns are byte-identical
 between the trees, the largest relative row difference of each column that
-is not, whether `singular_values.csv` is byte-identical, and the relative
-change in `final_error`.  It also reports each side's cost: `wall_time_s`,
+is not, whether `singular_values.csv` is byte-identical and, if not, the
+same per-column difference for it, the relative change in `final_error`,
+and the `summary.json` fields of SUMMARY_FIELDS (the step count, final
+time and ranks, and the event and evaluation counts) that differ, with both
+sides' values, and whether both runs wrote the same snapshot files byte
+for byte.  It also reports each side's cost: `wall_time_s`,
 `reference_s` (the time spent in the reference solution) and `phase_s`
 (the time per step phase) from its `summary.json`, and the peak RSS of its
 own process in MB (from that process's rusage).  The two sides run at the
@@ -28,6 +32,10 @@ import tempfile
 from pathlib import Path
 
 THREAD_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+SUMMARY_FIELDS = (
+    "steps_completed", "final_t", "final_ranks", "inc_events", "dec_events",
+    "modes_added", "modes_removed", "rhs_evals", "g_rank_max",
+)
 
 
 def shortened_config(preset: Path) -> str:
@@ -83,22 +91,40 @@ def max_rel_diff(xs: list[str] | None, ys: list[str] | None) -> float | None:
         return None
 
 
+def column_diffs(a: dict[str, list[str]], b: dict[str, list[str]]) -> tuple[list, dict]:
+    """The columns equal on both sides, and the largest relative row
+    difference of each other one."""
+    names = list(a) + [c for c in b if c not in a]
+    identical = [c for c in names if a.get(c) == b.get(c)]
+    return identical, {c: max_rel_diff(a.get(c), b.get(c)) for c in names if c not in identical}
+
+
+def same_snapshots(a: Path, b: Path) -> bool:
+    files = [sorted(out.glob("snapshot_*.fttsnap")) for out in (a, b)]
+    return [f.name for f in files[0]] == [f.name for f in files[1]] and all(
+        x.read_bytes() == y.read_bytes() for x, y in zip(*files)
+    )
+
+
 def compare(name: str, parent: tuple[Path, float], change: tuple[Path, float]) -> dict:
     (parent_out, rss_a), (change_out, rss_b) = parent, change
-    a = columns(parent_out / "timeseries.csv")
-    b = columns(change_out / "timeseries.csv")
+    identical, differ = column_diffs(
+        columns(parent_out / "timeseries.csv"), columns(change_out / "timeseries.csv")
+    )
+    sv_a, sv_b = (out / "singular_values.csv" for out in (parent_out, change_out))
     sum_a = json.loads((parent_out / "summary.json").read_text())
     sum_b = json.loads((change_out / "summary.json").read_text())
     err_a, err_b = sum_a["final_error"], sum_b["final_error"]
-    names = list(a) + [c for c in b if c not in a]
     return {
         "preset": name,
-        "identical": [c for c in names if a.get(c) == b.get(c)],
-        "differ": {c: max_rel_diff(a.get(c), b.get(c)) for c in names if a.get(c) != b.get(c)},
-        "singular_values_identical": (
-            (parent_out / "singular_values.csv").read_bytes()
-            == (change_out / "singular_values.csv").read_bytes()
-        ),
+        "identical": identical,
+        "differ": differ,
+        "singular_values_identical": sv_a.read_bytes() == sv_b.read_bytes(),
+        "singular_values_differ": column_diffs(columns(sv_a), columns(sv_b))[1],
+        "snapshots_identical": same_snapshots(parent_out, change_out),
+        "summary_differ": {
+            k: [sum_a.get(k), sum_b.get(k)] for k in SUMMARY_FIELDS if sum_a.get(k) != sum_b.get(k)
+        },
         "final_error": [err_a, err_b],
         "final_error_rel_change": (
             abs(err_b - err_a) / abs(err_a) if err_a and err_b is not None else None

@@ -114,6 +114,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "run" and args.jobs < 1:
+        parser.error(f"--jobs must be at least 1, got {args.jobs}")
     return args.func(args)
 
 

@@ -71,7 +71,6 @@ class IntegratorConfig:
 
 @dataclass
 class StepRecord:
-    t: float
     ranks: tuple[int, ...]
     normal_norm: float | None
     event: str
@@ -87,9 +86,9 @@ class AdaptiveState:
     """Mutable integration state; adaptive_step updates it in place."""
 
     u: FttTensor
-    t: float
     step_index: int = 0
-    history: list[tuple[float, FttTensor]] = field(default_factory=list)
+    # the last bdf_points states, oldest first; step k's state is at k * dt
+    history: list[FttTensor] = field(default_factory=list)
     prev_tangent: FttTensor | None = None
     logs: list[StepRecord] = field(default_factory=list)
     eps_inc_warned: bool = False
@@ -100,8 +99,8 @@ class AdaptiveState:
     phase_s: dict[str, float] = field(default_factory=lambda: dict.fromkeys(PHASES, 0.0))
 
     @classmethod
-    def initial(cls, u: FttTensor, t0: float = 0.0) -> "AdaptiveState":
-        return cls(u=u, t=t0, history=[(t0, u)])
+    def initial(cls, u: FttTensor) -> "AdaptiveState":
+        return cls(u=u, history=[u])
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +167,7 @@ def bdf_tangent_estimate(history, p: int, dt: float, ranks=None) -> FttTensor:
     """Backward-difference velocity estimate from stored snapshots, rounded
     at relative tolerance 1e-12.
 
-    history is a sequence of (t, tensor) pairs ordered by time; the last
+    history is a sequence of tensors dt apart, oldest first; the last
     entry is the current snapshot.  ranks (length d+1), when given, hints
     at the rounded ranks, e.g. those of the last estimate along the same
     trajectory, for the randomized rounding `sketch_truncate`, which
@@ -179,9 +178,9 @@ def bdf_tangent_estimate(history, p: int, dt: float, ranks=None) -> FttTensor:
     if p not in BDF_COEFFS:
         raise ValueError(f"no {p}-point formula; choose from {tuple(BDF_COEFFS)}")
     coeffs = BDF_COEFFS[p]
-    est = scale(history[-1][1], coeffs[0] / dt)
+    est = scale(history[-1], coeffs[0] / dt)
     for k in range(1, p):
-        est = add(est, scale(history[-1 - k][1], coeffs[k] / dt))
+        est = add(est, scale(history[-1 - k], coeffs[k] / dt))
     out, _ = sketch_truncate(est, 1e-12, ranks)
     return out
 
@@ -279,19 +278,14 @@ def adaptive_step(state: AdaptiveState, rhs: RhsEvaluator, config: IntegratorCon
             event = f"dec:{removed}"
         lap("dec")
 
-    t_new = state.t + dt
     state.u = u_new
-    state.t = t_new
     state.step_index += 1
     state.prev_tangent = tangent
     state.g_ranks = g.ranks
-    state.history.append((t_new, u_new))
-    keep = max(config.bdf_points, 2)
-    if len(state.history) > keep:
-        del state.history[: len(state.history) - keep]
+    state.history.append(u_new)
+    del state.history[: -config.bdf_points]
     state.logs.append(
         StepRecord(
-            t=t_new,
             ranks=u_new.ranks,
             normal_norm=normal_norm,
             event=event,

@@ -99,8 +99,8 @@ def _fmt(x) -> str:
 def _validated_setup(config: RunConfig):
     """Build the problem, the integrator settings and the step count, raising
     ConfigError for any invalid value before a run writes anything."""
-    if config.reference_dt is not None and not config.reference_dt > 0:
-        raise ConfigError(f"reference_dt must be positive, got {config.reference_dt}")
+    if config.reference_dt is not None and not 0 < config.reference_dt < math.inf:
+        raise ConfigError(f"reference_dt must be positive and finite, got {config.reference_dt}")
     if config.snapshot_every < 0:
         raise ConfigError(f"snapshot_every must be nonnegative, got {config.snapshot_every}")
     try:
@@ -163,8 +163,7 @@ def run_experiment(config: RunConfig, output_dir=None) -> dict:
     state = AdaptiveState.initial(u0)
     last_error = None
     status = "ok"
-    inc_events = dec_events = modes_added = modes_removed = 0
-    rhs_evals = g_rank_max = 0
+    g_rank_max = 0
     reference_s = snapshot_s = 0.0
 
     def measure_error(u, t):
@@ -194,9 +193,8 @@ def run_experiment(config: RunConfig, output_dir=None) -> dict:
         csv_fh.write(",".join(row) + "\n")
         record_snapshot(u0, 0.0, 0)
 
-        final_u, final_t, steps_done = u0, 0.0, 0
+        final_u, steps_done = u0, 0
         for step in range(1, n_steps + 1):
-            u_prev, t_prev = state.u, state.t
             try:
                 state = adaptive_step(state, problem.rhs, integ)
                 blown_up = not _tensor_is_finite(state.u)
@@ -205,33 +203,30 @@ def run_experiment(config: RunConfig, output_dir=None) -> dict:
                 # finiteness check sees the state
                 blown_up = True
             if blown_up:
-                snapshots.save(u_prev, out / "snapshot_lastgood.fttsnap")
+                snapshots.save(final_u, out / "snapshot_lastgood.fttsnap")
                 status = "nan"
-                final_u, final_t, steps_done = u_prev, t_prev, step - 1
                 break
-            final_u, final_t, steps_done = state.u, state.t, step
+            final_u, steps_done = state.u, step
+            t = step * config.dt
             rec = state.logs[-1]
-            rhs_evals += rec.rhs_evals
             g_rank_max = max(g_rank_max, *state.g_ranks[1:-1])
-            if rec.event.startswith("inc:"):
-                inc_events += 1
-                modes_added += rec.added
-            if rec.removed > 0:
-                dec_events += 1
-                modes_removed += rec.removed
             err = None
             if step % snap_every == 0 or step == n_steps:
-                err = measure_error(state.u, rec.t)
+                err = measure_error(state.u, t)
                 last_error = err
-                record_snapshot(state.u, rec.t, step)
+                record_snapshot(state.u, t, step)
             row = (
-                [_fmt(rec.t), _fmt(err), _fmt(rec.normal_norm)]
+                [_fmt(t), _fmt(err), _fmt(rec.normal_norm)]
                 + [str(r) for r in rec.ranks]
                 + [rec.event]
             )
             csv_fh.write(",".join(row) + "\n")
 
     (out / "singular_values.csv").write_text("\n".join(sv_rows) + "\n")
+    # a step that blew up may have logged a record: count the accepted ones
+    logs = state.logs[:steps_done]
+    incs = [rec.added for rec in logs if rec.event.startswith("inc:")]
+    decs = [rec.removed for rec in logs if rec.removed > 0]
 
     summary = {
         "problem": config.problem,
@@ -242,14 +237,14 @@ def run_experiment(config: RunConfig, output_dir=None) -> dict:
         "eps_dec": config.eps_dec,
         "status": status,
         "steps_completed": steps_done,
-        "final_t": final_t,
+        "final_t": steps_done * config.dt,
         "final_ranks": list(final_u.ranks),
         "final_error": last_error,
-        "inc_events": inc_events,
-        "dec_events": dec_events,
-        "modes_added": modes_added,
-        "modes_removed": modes_removed,
-        "rhs_evals": rhs_evals,
+        "inc_events": len(incs),
+        "dec_events": len(decs),
+        "modes_added": sum(incs),
+        "modes_removed": sum(decs),
+        "rhs_evals": sum(rec.rhs_evals for rec in logs),
         "g_rank_max": g_rank_max,
         "wall_time_s": time.perf_counter() - t_start,
         "reference_s": reference_s,

@@ -196,7 +196,7 @@ def test_criterion_5_bdf_orders():
     for p in (2, 3):
         errs = []
         for dt in dts:
-            history = [(k * dt, scale(w, math.exp(k * dt))) for k in range(-(p - 1), 1)]
+            history = [scale(w, math.exp(k * dt)) for k in range(-(p - 1), 1)]
             est = bdf_tangent_estimate(history, p, dt)
             errs.append(norm(add(est, scale(w, -1.0))) / norm(w))
         slopes[p] = float(np.polyfit(np.log(dts), np.log(errs), 1)[0])

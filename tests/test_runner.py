@@ -10,7 +10,7 @@ import pytest
 from fttpde import snapshots
 from fttpde.cli import main as cli_main, preset_names, preset_path
 from fttpde.integrators import PHASES, AdaptiveState, IntegratorConfig, adaptive_step
-from fttpde.problems import fp4d
+from fttpde.problems import CharacteristicsReference, fp4d
 from fttpde.runner import ConfigError, RunConfig, parse_config, run_experiment
 
 
@@ -159,6 +159,29 @@ def test_timeseries_header_and_spacing(small_run):
     diffs = np.diff(times)
     assert np.all(diffs > 0)
     assert np.allclose(diffs, 1e-3)
+
+
+def test_step_k_is_labelled_k_dt(tmp_path, monkeypatch):
+    # a running sum of dt would drift: 50 steps of 1e-3 add up to 0.05000000000000004
+    requested = []
+    solution = CharacteristicsReference.solution
+
+    def spy(self, t):
+        requested.append(t)
+        return solution(self, t)
+
+    monkeypatch.setattr(CharacteristicsReference, "solution", spy)
+    text = SMALL_ADVECTION.replace("t_final = 0.02", "t_final = 0.05")
+    summary = run_experiment(parse_config(write_cfg(tmp_path, text)), tmp_path / "out")
+    dt = 1e-3
+    rows = (tmp_path / "out" / "timeseries.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == [repr(k * dt) for k in range(51)]
+    sv_rows = (tmp_path / "out" / "singular_values.csv").read_text().splitlines()[1:]
+    snapshot_times = [k * dt for k in range(0, 51, 10)]
+    assert sorted({float(row.split(",")[0]) for row in sv_rows}) == snapshot_times
+    assert summary["steps_completed"] == 50
+    assert summary["final_t"] == summary["steps_completed"] * dt
+    assert requested == snapshot_times
 
 
 def test_summary_contents(small_run):
@@ -391,8 +414,12 @@ BAD_SETTINGS = pytest.mark.parametrize(
         ("dt = inf", "dt"),
         ("dec_period = -1", "dec_period"),
         ("snapshot_every = -1", "snapshot_every"),
+        ("reference_dt = inf", "reference_dt"),
     ],
-    ids=["eps_dec_nan", "eps_inc_nan", "dt_inf", "dec_period_negative", "snapshot_every_negative"],
+    ids=[
+        "eps_dec_nan", "eps_inc_nan", "dt_inf", "dec_period_negative", "snapshot_every_negative",
+        "reference_dt_inf",
+    ],
 )
 
 
@@ -465,6 +492,19 @@ def test_cli_pool_has_no_more_workers_than_runs(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
     assert rc == 0
     assert workers == [2]
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_cli_rejects_jobs_below_one(tmp_path, capsys, jobs):
+    cfg = write_cfg(tmp_path, SMALL_ADVECTION)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["run", str(cfg), "--output-dir", str(out), "--jobs", jobs])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"--jobs must be at least 1, got {jobs}" in captured.err
+    assert not out.exists()
 
 
 SMALL_KSE = """
