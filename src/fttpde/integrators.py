@@ -77,8 +77,6 @@ class StepRecord:
     # modes the step's sweep kept of those the addition padded in
     added: int = 0
     removed: int = 0
-    # right-hand-side evaluations of the step: 2 on an addition step
-    rhs_evals: int = 0
 
 
 @dataclass
@@ -86,10 +84,10 @@ class AdaptiveState:
     """Mutable integration state; adaptive_step updates it in place."""
 
     u: FttTensor
-    step_index: int = 0
     # the last bdf_points states, oldest first; step k's state is at k * dt
     history: list[FttTensor] = field(default_factory=list)
     prev_tangent: FttTensor | None = None
+    # one record per step taken, so len(logs) is the step count
     logs: list[StepRecord] = field(default_factory=list)
     eps_inc_warned: bool = False
     # ranks of the last rounded right-hand side: the rank hint of the next
@@ -220,7 +218,6 @@ def adaptive_step(state: AdaptiveState, rhs: RhsEvaluator, config: IntegratorCon
 
     g = eval_rhs(rhs, u, state.g_ranks)
     lap("rhs")
-    rhs_evals = 1
 
     normal_norm = None
     event = "none"
@@ -259,7 +256,6 @@ def adaptive_step(state: AdaptiveState, rhs: RhsEvaluator, config: IntegratorCon
         # the padded train is the same function, so G's ranks are too
         g = eval_rhs(rhs, u, g.ranks)
         lap("rhs")
-        rhs_evals += 1
 
     if config.scheme == "step_truncation":
         u_new = step_truncation_step(u, scale(g, dt), config.eps_dec, config.max_ranks)
@@ -270,7 +266,7 @@ def adaptive_step(state: AdaptiveState, rhs: RhsEvaluator, config: IntegratorCon
         # the modes the sweep kept: it drops a pad above a grid cap
         added = _interior_rank_sum(u_new) - before
         event = f"inc:{added}"
-    if adaptive and config.dec_period > 0 and (state.step_index + 1) % config.dec_period == 0:
+    if adaptive and config.dec_period > 0 and (len(state.logs) + 1) % config.dec_period == 0:
         before = _interior_rank_sum(u_new)
         u_new, _ = truncate(u_new, config.eps_dec)
         removed = before - _interior_rank_sum(u_new)
@@ -279,7 +275,6 @@ def adaptive_step(state: AdaptiveState, rhs: RhsEvaluator, config: IntegratorCon
         lap("dec")
 
     state.u = u_new
-    state.step_index += 1
     state.prev_tangent = tangent
     state.g_ranks = g.ranks
     state.history.append(u_new)
@@ -291,7 +286,6 @@ def adaptive_step(state: AdaptiveState, rhs: RhsEvaluator, config: IntegratorCon
             event=event,
             added=added,
             removed=removed,
-            rhs_evals=rhs_evals,
         )
     )
     return state

@@ -41,11 +41,13 @@ class DenseRk4Reference:
         self.dt_ref = dt_ref
         self._t = 0.0
         self._u = u0.copy()
+        self._u.flags.writeable = False
 
-    def _advance(self, t: float) -> np.ndarray:
-        """Step the state to time t and return it: whole dt_ref steps, then
-        one shorter step for the rest, unless the time left is within 1e-9
-        relative of a whole number of steps: then it lands on that step."""
+    def solution(self, t: float) -> np.ndarray:
+        """State at time t, read-only: whole dt_ref steps, then one shorter
+        step for the rest, unless the time left is within 1e-9 relative of a
+        whole number of steps: then it lands on that step.  Each step makes
+        a new array, so a state handed out never changes."""
         span = t - self._t
         if span < -1e-12:
             raise ValueError(f"reference already advanced past t={t}")
@@ -59,12 +61,9 @@ class DenseRk4Reference:
             self._u = rk4_dense_step(self._u, self.rhs_dense, self.dt_ref)
         if rest:
             self._u = rk4_dense_step(self._u, self.rhs_dense, rest)
+        self._u.flags.writeable = False
         self._t = t
         return self._u
-
-    def solution(self, t: float) -> np.ndarray:
-        """State at time t, as `_advance` reaches it."""
-        return self._advance(t).copy()
 
 
 class CharacteristicsReference(DenseRk4Reference):
@@ -79,7 +78,7 @@ class CharacteristicsReference(DenseRk4Reference):
         self.ic_fn = ic_fn
 
     def solution(self, t: float) -> np.ndarray:
-        return self.ic_fn(*self._advance(t))
+        return self.ic_fn(*super().solution(t))
 
 
 def l2_error(a: np.ndarray, b: np.ndarray, domain: Domain) -> float:

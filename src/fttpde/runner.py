@@ -244,7 +244,8 @@ def run_experiment(config: RunConfig, output_dir=None) -> dict:
         "dec_events": len(decs),
         "modes_added": sum(incs),
         "modes_removed": sum(decs),
-        "rhs_evals": sum(rec.rhs_evals for rec in logs),
+        # one evaluation per step and a second on each addition step
+        "rhs_evals": steps_done + len(incs),
         "g_rank_max": g_rank_max,
         "wall_time_s": time.perf_counter() - t_start,
         "reference_s": reference_s,

@@ -108,6 +108,30 @@ def test_characteristics_reference_advances_incrementally():
         assert ref.solution(i / 10).tobytes() == ref.ic_fn(*pos).tobytes()
 
 
+def test_dense_reference_hands_out_its_state_read_only(dom2, rng):
+    # no copy per request: the state is read-only, a repeated request makes
+    # no step, and a later request leaves the earlier array as it was
+    u0 = rng.standard_normal(dom2.shape)
+    calls = []
+
+    def rhs_dense(u):
+        calls.append(1)
+        return -u
+
+    ref = DenseRk4Reference(rhs_dense, u0, dt_ref=1e-3)
+    u0[0, 0] = 7.0  # the reference keeps its own copy of the initial state
+    assert ref.solution(0.0)[0, 0] != 7.0
+    got = ref.solution(0.002)
+    assert not got.flags.writeable
+    with pytest.raises(ValueError):
+        got[0, 0] = 0.0
+    before, n_calls = got.tobytes(), len(calls)
+    assert ref.solution(0.002).tobytes() == before
+    assert len(calls) == n_calls
+    ref.solution(0.003)
+    assert got.tobytes() == before
+
+
 def test_characteristics_reference_rejects_going_back_in_time():
     ref = advection2d(n=33).reference
     ref.solution(0.2)

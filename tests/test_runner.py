@@ -7,9 +7,10 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from fttpde import snapshots
+from fttpde import integrators, snapshots
 from fttpde.cli import main as cli_main, preset_names, preset_path
 from fttpde.integrators import PHASES, AdaptiveState, IntegratorConfig, adaptive_step
+from fttpde.operators import eval_rhs
 from fttpde.problems import CharacteristicsReference, fp4d
 from fttpde.runner import ConfigError, RunConfig, parse_config, run_experiment
 
@@ -217,19 +218,26 @@ n = 9
 """
 
 
-def test_summary_counts_rhs_evaluations_and_g_rank(tmp_path):
+def test_summary_counts_rhs_evaluations_and_g_rank(tmp_path, monkeypatch):
     summary = run_experiment(parse_config(write_cfg(tmp_path, SMALL_FP4D)), tmp_path / "ad")
     assert summary["inc_events"] > 0
     assert summary["rhs_evals"] == summary["steps_completed"] + summary["inc_events"]
     prob = fp4d(n=9)
     cfg = IntegratorConfig(dt=1e-3, eps_inc=1e-3, eps_dec=1e-8, dec_period=25)
     state = AdaptiveState.initial(prob.initial)
+    evals = []
+
+    def spy(rhs, u, ranks=None):
+        evals.append(u.ranks)
+        return eval_rhs(rhs, u, ranks)
+
+    monkeypatch.setattr(integrators, "eval_rhs", spy)
     g_rank_max = 0
     for _ in range(6):
         state = adaptive_step(state, prob.rhs, cfg)
         g_rank_max = max(g_rank_max, *state.g_ranks[1:-1])
     assert summary["g_rank_max"] == g_rank_max
-    assert sum(rec.rhs_evals for rec in state.logs) == summary["rhs_evals"]
+    assert len(evals) == summary["rhs_evals"]
     fixed = SMALL_FP4D.replace("lie_trotter", "fixed_rank")
     summary = run_experiment(parse_config(write_cfg(tmp_path, fixed)), tmp_path / "fixed")
     assert summary["rhs_evals"] == summary["steps_completed"] == 6
