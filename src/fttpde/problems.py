@@ -6,12 +6,13 @@ reference solver."""
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .ftt import FttTensor, add, from_full, hadamard, scale
-from .grids import Domain, ShapeError, torus_domain
+from .grids import Domain, GridError, ShapeError, torus_domain
 from .integrators import rk4_dense_step
 from .operators import (
     RhsEvaluator,
@@ -81,6 +82,25 @@ class CharacteristicsReference(DenseRk4Reference):
         return self.ic_fn(*super().solution(t))
 
 
+# arrays of the reference state's size alive at once while it steps: the
+# state and five inside rk4_dense_step (tracemalloc, fp4d at n = 21)
+_REFERENCE_ARRAYS = 6
+
+
+def _check_memory(state_size: int) -> None:
+    """Raise GridError when the dense reference's peak, _REFERENCE_ARRAYS
+    float64 arrays of state_size entries, exceeds physical memory.  Builders
+    call it before they form any dense array; it is a lower bound on what a
+    run holds, so a grid that passes may still be too large."""
+    need = _REFERENCE_ARRAYS * 8 * state_size
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise GridError(
+            f"grid too large: the dense reference needs at least {need / 2**30:.3g} GiB, "
+            f"physical memory is {have / 2**30:.3g} GiB"
+        )
+
+
 def l2_error(a: np.ndarray, b: np.ndarray, domain: Domain) -> float:
     """Quadrature-weighted L2 norm of the difference of two dense arrays."""
     a = np.asarray(a)
@@ -131,6 +151,7 @@ def _advection_velocity(pos):
 
 def advection2d(n: int = 81, reference_dt: float = 1e-3) -> ProblemSpec:
     """du/dt = (sin x1 + cos x2) d1u + cos x2 d2u on the 2-torus."""
+    _check_memory(2 * n**2)  # the reference steps both node coordinates
     dom = torus_domain(2, n)
     g1, g2 = dom.axes
     d1a = g1.diff1
@@ -161,6 +182,7 @@ def kse2d(
 ) -> ProblemSpec:
     """du/dt = -1/2 |grad_nu u|^2 - lap_nu u - nu1 lap_nu^2 u on the 2-torus,
     with the anisotropy nu = nu2/nu1 entering the y-direction operators."""
+    _check_memory(n**2)
     nu = nu2 / nu1
     dom = torus_domain(2, n)
     g1, g2 = dom.axes
@@ -186,12 +208,16 @@ def kse2d(
     ic = np.sin(x1 + x2) + np.sin(x1) + np.sin(x2)
     initial = from_full(ic, dom, 1e-12)
 
+    # -lap_nu - nu1 lap_nu^2 as x, y and cross matrices, combined here from
+    # d2 and d4 so that the reference does not share op_lin
+    lin_x = -d2 - nu1 * d4
+    lin_y = (-nu * d2 - nu1 * nu**2 * d4).T
+    lin_xy = -2.0 * nu1 * nu * d2
+
     def rhs_dense(u):
         ux = d1 @ u
         uy = u @ d1.T
-        lap = d2 @ u + nu * (u @ d2.T)
-        bilap = d4 @ u + 2.0 * nu * (d2 @ u @ d2.T) + nu**2 * (u @ d4.T)
-        return -0.5 * (ux**2 + nu**2 * uy**2) - lap - nu1 * bilap
+        return -0.5 * (ux**2 + nu**2 * uy**2) + lin_x @ u + u @ lin_y + lin_xy @ u @ d2.T
 
     rhs = RhsEvaluator(domain=dom, op=composite)
     reference = DenseRk4Reference(rhs_dense, ic, dt_ref=reference_dt)
@@ -231,11 +257,13 @@ def fp4d(
     """dp/dt = L p on the 4-torus with sinusoidal drift and g^2 = 1 + k sin
     diffusion coefficients; the initial profile is a rank-1 product of sines
     normalized by its L1 norm (integral of |sin| is 4 per axis, so 256)."""
+    _check_memory(n**4)
     dom = torus_domain(4, n)
     op = fp4d_operator(dom, alpha, beta, k)
-    s1, s2, s3, s4 = np.ix_(*[np.sin(g.nodes) for g in dom.axes])
+    sines = [np.sin(g.nodes) for g in dom.axes]
+    s1, s2, s3, s4 = np.ix_(*sines)
     dense_ic = s1 * s2 * s3 * s4 / 256.0
-    initial = from_full(dense_ic, dom, 1e-12)
+    initial = FttTensor([s.reshape(1, -1, 1) for s in [sines[0] / 256.0, *sines[1:]]], dom)
     rhs = RhsEvaluator(domain=dom, op=op)
 
     def rhs_dense(p):

@@ -388,8 +388,11 @@ def test_cli_bad_config_exit_code(tmp_path, capsys):
         ("problem = advection2d\nscheme = bogus\ndt = 1e-3\nt_final = 0.01\nn = 21\n", "scheme"),
         ("problem = advection2d\nscheme = lie_trotter\ndt = 1e-3\nt_final = 0.0026\nn = 21\n",
          "whole number of steps"),
+        ("problem = advection2d\nscheme = lie_trotter\ndt = 1e-3\nt_final = 0.01\n"
+         "n = 10000000\n", "grid too large"),
     ],
-    ids=["max_ranks_length", "too_few_points", "unknown_scheme", "fractional_steps"],
+    ids=["max_ranks_length", "too_few_points", "unknown_scheme", "fractional_steps",
+         "oversize_grid"],
 )
 def test_cli_rejects_invalid_config_before_writing(tmp_path, capsys, text, message):
     cfg = write_cfg(tmp_path, text)
@@ -399,6 +402,16 @@ def test_cli_rejects_invalid_config_before_writing(tmp_path, capsys, text, messa
     assert captured.err.startswith(f"error: {cfg}: ")
     assert message in captured.err
     assert "Traceback" not in captured.err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("problem", ["advection2d", "kse2d", "fp4d"])
+def test_run_experiment_rejects_an_oversize_grid(tmp_path, problem):
+    # the first n x n array would take 800 TB: the grid is refused before
+    # any array of its size is formed
+    text = f"problem = {problem}\nscheme = lie_trotter\ndt = 1e-3\nt_final = 0.01\nn = 10000000\n"
+    with pytest.raises(ConfigError, match="grid too large"):
+        run_experiment(parse_config(write_cfg(tmp_path, text)), output_dir=tmp_path / "out")
     assert not (tmp_path / "out").exists()
 
 
