@@ -42,7 +42,6 @@ class DenseRk4Reference:
         self.dt_ref = dt_ref
         self._t = 0.0
         self._u = u0.copy()
-        self._u.flags.writeable = False
 
     def solution(self, t: float) -> np.ndarray:
         """State at time t, read-only: whole dt_ref steps, then one shorter
@@ -82,23 +81,15 @@ class CharacteristicsReference(DenseRk4Reference):
         return self.ic_fn(*super().solution(t))
 
 
-# arrays of the reference state's size alive at once while it steps: the
-# state and five inside rk4_dense_step (tracemalloc, fp4d at n = 21)
-_REFERENCE_ARRAYS = 6
-
-
 def _check_memory(state_size: int) -> None:
-    """Raise GridError when the dense reference's peak, _REFERENCE_ARRAYS
-    float64 arrays of state_size entries, exceeds physical memory.  Builders
-    call it before they form any dense array; it is a lower bound on what a
-    run holds, so a grid that passes may still be too large."""
-    need = _REFERENCE_ARRAYS * 8 * state_size
-    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    """Raise GridError when the dense reference's peak, six float64 arrays
+    of state_size entries (the state and five inside rk4_dense_step, by
+    tracemalloc), exceeds physical memory.  A lower bound on what a run
+    holds, checked before a builder forms any dense array."""
+    need, have = 48 * state_size, os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
-        raise GridError(
-            f"grid too large: the dense reference needs at least {need / 2**30:.3g} GiB, "
-            f"physical memory is {have / 2**30:.3g} GiB"
-        )
+        raise GridError(f"grid too large: the dense reference needs {need / 2**30:.3g} GiB, "
+                        f"more than the {have / 2**30:.3g} GiB of memory")
 
 
 def l2_error(a: np.ndarray, b: np.ndarray, domain: Domain) -> float:
@@ -187,16 +178,16 @@ def kse2d(
     dom = torus_domain(2, n)
     g1, g2 = dom.axes
     d1, d2, d4 = g1.diff1, g1.diff2, g1.diff4
+    # -lap_nu - nu1 lap_nu^2 = lin_x (x) I + I (x) lin_y + lin_xy (x) d2, built
+    # from d2 and d4; op_lin applies it as a TT operator, the reference by
+    # dense products that never call op_lin
+    lin_x = -d2 - nu1 * d4
+    lin_y = -nu * d2 - nu1 * nu**2 * d4
+    lin_xy = -2.0 * nu1 * nu * d2
 
     op_dx = separable([(d1, None)])
     op_dy = separable([(None, d1)])
-    op_lin = separable(
-        [
-            (-d2 - nu1 * d4, None),
-            (None, -nu * d2 - nu1 * nu**2 * d4),
-            (-2.0 * nu1 * nu * d2, d2),
-        ]
-    )
+    op_lin = separable([(lin_x, None), (None, lin_y), (lin_xy, d2)])
 
     def composite(u: FttTensor) -> FttTensor:
         ux = op_dx(u)
@@ -208,16 +199,10 @@ def kse2d(
     ic = np.sin(x1 + x2) + np.sin(x1) + np.sin(x2)
     initial = from_full(ic, dom, 1e-12)
 
-    # -lap_nu - nu1 lap_nu^2 as x, y and cross matrices, combined here from
-    # d2 and d4 so that the reference does not share op_lin
-    lin_x = -d2 - nu1 * d4
-    lin_y = (-nu * d2 - nu1 * nu**2 * d4).T
-    lin_xy = -2.0 * nu1 * nu * d2
-
     def rhs_dense(u):
         ux = d1 @ u
         uy = u @ d1.T
-        return -0.5 * (ux**2 + nu**2 * uy**2) + lin_x @ u + u @ lin_y + lin_xy @ u @ d2.T
+        return -0.5 * (ux**2 + nu**2 * uy**2) + lin_x @ u + u @ lin_y.T + lin_xy @ u @ d2.T
 
     rhs = RhsEvaluator(domain=dom, op=composite)
     reference = DenseRk4Reference(rhs_dense, ic, dt_ref=reference_dt)
@@ -231,11 +216,10 @@ def kse2d(
 
 def fp4d_operator(domain: Domain, alpha: float, beta: float, k: float) -> SeparableOperator:
     """Drift/diffusion generator written as a rank-9 separable operator."""
-    g1, g2, g3, g4 = domain.axes
     d1 = [g.diff1 for g in domain.axes]
     d2 = [g.diff2 for g in domain.axes]
     sin = [np.diag(np.sin(g.nodes)) for g in domain.axes]
-    cos1 = np.diag(np.cos(g1.nodes))
+    cos1 = np.diag(np.cos(domain.axes[0].nodes))
     gsq = [np.diag(1.0 + k * np.sin(g.nodes)) for g in domain.axes]
     terms = [
         (-alpha * cos1, None, None, None),
@@ -261,8 +245,7 @@ def fp4d(
     dom = torus_domain(4, n)
     op = fp4d_operator(dom, alpha, beta, k)
     sines = [np.sin(g.nodes) for g in dom.axes]
-    s1, s2, s3, s4 = np.ix_(*sines)
-    dense_ic = s1 * s2 * s3 * s4 / 256.0
+    dense_ic = math.prod(np.ix_(*sines)) / 256.0
     initial = FttTensor([s.reshape(1, -1, 1) for s in [sines[0] / 256.0, *sines[1:]]], dom)
     rhs = RhsEvaluator(domain=dom, op=op)
 

@@ -122,10 +122,6 @@ def _validated_setup(config: RunConfig):
     return problem, integ, round(ratio)
 
 
-def _tensor_is_finite(u) -> bool:
-    return all(np.all(np.isfinite(c)) for c in u.cores)
-
-
 def run_experiment(config: RunConfig, output_dir=None) -> dict:
     """Execute one run and write timeseries.csv, singular_values.csv,
     snapshots, run.log and summary.json into the output directory.
@@ -161,7 +157,6 @@ def run_experiment(config: RunConfig, output_dir=None) -> dict:
     header = ["t", "l2_error", "normal_norm"] + [f"r{k}" for k in range(d + 1)] + ["event"]
     sv_rows = ["t,interface,index,sigma"]
     state = AdaptiveState.initial(u0)
-    last_error = None
     status = "ok"
     g_rank_max = 0
     reference_s = snapshot_s = 0.0
@@ -187,26 +182,26 @@ def run_experiment(config: RunConfig, output_dir=None) -> dict:
 
     with open(out / "timeseries.csv", "w", newline="") as csv_fh:
         csv_fh.write(",".join(header) + "\n")
-        err0 = measure_error(u0, 0.0)
-        last_error = err0
-        row = [_fmt(0.0), _fmt(err0), ""] + [str(r) for r in u0.ranks] + ["none"]
+        last_error = measure_error(u0, 0.0)
+        row = [_fmt(0.0), _fmt(last_error), ""] + [str(r) for r in u0.ranks] + ["none"]
         csv_fh.write(",".join(row) + "\n")
         record_snapshot(u0, 0.0, 0)
 
-        final_u, steps_done = u0, 0
+        final_u = u0
         for step in range(1, n_steps + 1):
             try:
                 state = adaptive_step(state, problem.rhs, integ)
-                blown_up = not _tensor_is_finite(state.u)
+                blown_up = not all(np.all(np.isfinite(c)) for c in state.u.cores)
             except np.linalg.LinAlgError:
                 # overflow can surface as a non-converging SVD before the
                 # finiteness check sees the state
                 blown_up = True
             if blown_up:
+                del state.logs[step - 1 :]  # the failed step may have logged a record
                 snapshots.save(final_u, out / "snapshot_lastgood.fttsnap")
                 status = "nan"
                 break
-            final_u, steps_done = state.u, step
+            final_u = state.u
             t = step * config.dt
             rec = state.logs[-1]
             g_rank_max = max(g_rank_max, *state.g_ranks[1:-1])
@@ -223,10 +218,9 @@ def run_experiment(config: RunConfig, output_dir=None) -> dict:
             csv_fh.write(",".join(row) + "\n")
 
     (out / "singular_values.csv").write_text("\n".join(sv_rows) + "\n")
-    # a step that blew up may have logged a record: count the accepted ones
-    logs = state.logs[:steps_done]
-    incs = [rec.added for rec in logs if rec.event.startswith("inc:")]
-    decs = [rec.removed for rec in logs if rec.removed > 0]
+    steps_done = len(state.logs)
+    incs = [rec.added for rec in state.logs if rec.event.startswith("inc:")]
+    decs = [rec.removed for rec in state.logs if rec.removed > 0]
 
     summary = {
         "problem": config.problem,
