@@ -86,10 +86,10 @@ def _check_memory(state_size: int) -> None:
     of state_size entries (the state and five inside rk4_dense_step, by
     tracemalloc), exceeds physical memory.  A lower bound on what a run
     holds, checked before a builder forms any dense array."""
-    need, have = 48 * state_size, os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    need = 48 * state_size / 2**30
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") / 2**30
     if need > have:
-        raise GridError(f"grid too large: the dense reference needs {need / 2**30:.3g} GiB, "
-                        f"more than the {have / 2**30:.3g} GiB of memory")
+        raise GridError(f"grid too large: its dense reference needs {need:.3g} of {have:.3g} GiB")
 
 
 def l2_error(a: np.ndarray, b: np.ndarray, domain: Domain) -> float:

@@ -227,9 +227,9 @@ def test_summary_counts_rhs_evaluations_and_g_rank(tmp_path, monkeypatch):
     state = AdaptiveState.initial(prob.initial)
     evals = []
 
-    def spy(rhs, u, ranks=None):
-        evals.append(u.ranks)
-        return eval_rhs(rhs, u, ranks)
+    def spy(*args):
+        evals.append(1)
+        return eval_rhs(*args)
 
     monkeypatch.setattr(integrators, "eval_rhs", spy)
     g_rank_max = 0
