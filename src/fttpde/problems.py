@@ -244,9 +244,9 @@ def fp4d(
     _check_memory(n**4)
     dom = torus_domain(4, n)
     op = fp4d_operator(dom, alpha, beta, k)
-    sines = [np.sin(g.nodes) for g in dom.axes]
-    dense_ic = math.prod(np.ix_(*sines)) / 256.0
-    initial = FttTensor([s.reshape(1, -1, 1) for s in [sines[0] / 256.0, *sines[1:]]], dom)
+    s1, s2, s3, s4 = np.ix_(*[np.sin(g.nodes) for g in dom.axes])
+    dense_ic = s1 * s2 * s3 * s4 / 256.0
+    initial = from_full(dense_ic, dom, 1e-12)
     rhs = RhsEvaluator(domain=dom, op=op)
 
     def rhs_dense(p):
