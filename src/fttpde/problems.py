@@ -81,15 +81,19 @@ class CharacteristicsReference(DenseRk4Reference):
         return self.ic_fn(*super().solution(t))
 
 
-def _check_memory(state_size: int) -> None:
-    """Raise GridError when the dense reference's peak, six float64 arrays
-    of state_size entries (the state and five inside rk4_dense_step, by
-    tracemalloc), exceeds physical memory.  A lower bound on what a run
-    holds, checked before a builder forms any dense array."""
-    need = 48 * state_size / 2**30
+def _check_memory(size: int, arrays: int) -> None:
+    """Raise GridError when `arrays` float64 arrays of `size` entries exceed
+    physical memory, checked before a builder forms any dense array.  Each
+    builder passes the peak that tracemalloc shows over its build, three
+    adaptive steps and reference steps: 36 n x n arrays for the 2-D
+    problems (28-35 measured at n = 301), 7 n^4 arrays for fp4d (6.5 at
+    n = 21).  Skipped where os.sysconf cannot read the memory size."""
+    if "SC_PHYS_PAGES" not in getattr(os, "sysconf_names", {}):
+        return
+    need = 8 * arrays * size / 2**30
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") / 2**30
     if need > have:
-        raise GridError(f"grid too large: its dense reference needs {need:.3g} of {have:.3g} GiB")
+        raise GridError(f"grid too large: a run needs about {need:.3g} of {have:.3g} GiB")
 
 
 def l2_error(a: np.ndarray, b: np.ndarray, domain: Domain) -> float:
@@ -142,7 +146,7 @@ def _advection_velocity(pos):
 
 def advection2d(n: int = 81, reference_dt: float = 1e-3) -> ProblemSpec:
     """du/dt = (sin x1 + cos x2) d1u + cos x2 d2u on the 2-torus."""
-    _check_memory(2 * n**2)  # the reference steps both node coordinates
+    _check_memory(n**2, 36)
     dom = torus_domain(2, n)
     g1, g2 = dom.axes
     d1a = g1.diff1
@@ -173,21 +177,21 @@ def kse2d(
 ) -> ProblemSpec:
     """du/dt = -1/2 |grad_nu u|^2 - lap_nu u - nu1 lap_nu^2 u on the 2-torus,
     with the anisotropy nu = nu2/nu1 entering the y-direction operators."""
-    _check_memory(n**2)
+    _check_memory(n**2, 36)
     nu = nu2 / nu1
     dom = torus_domain(2, n)
     g1, g2 = dom.axes
     d1, d2, d4 = g1.diff1, g1.diff2, g1.diff4
-    # -lap_nu - nu1 lap_nu^2 = lin_x (x) I + I (x) lin_y + lin_xy (x) d2, built
-    # from d2 and d4; op_lin applies it as a TT operator, the reference by
-    # dense products that never call op_lin
-    lin_x = -d2 - nu1 * d4
-    lin_y = -nu * d2 - nu1 * nu**2 * d4
-    lin_xy = -2.0 * nu1 * nu * d2
 
     op_dx = separable([(d1, None)])
     op_dy = separable([(None, d1)])
-    op_lin = separable([(lin_x, None), (None, lin_y), (lin_xy, d2)])
+    op_lin = separable(
+        [
+            (-d2 - nu1 * d4, None),
+            (None, -nu * d2 - nu1 * nu**2 * d4),
+            (-2.0 * nu1 * nu * d2, d2),
+        ]
+    )
 
     def composite(u: FttTensor) -> FttTensor:
         ux = op_dx(u)
@@ -199,10 +203,16 @@ def kse2d(
     ic = np.sin(x1 + x2) + np.sin(x1) + np.sin(x2)
     initial = from_full(ic, dom, 1e-12)
 
+    # the reference's own axis matrices, from lap = d2 u + nu u d2^T and
+    # bilap = d4 u + 2 nu d2 u d2^T + nu^2 u d4^T, independent of op_lin
+    ax = -(d2 + nu1 * d4)
+    ay = -(nu * d2 + nu1 * nu**2 * d4)
+    axy = -2.0 * nu1 * nu * d2
+
     def rhs_dense(u):
         ux = d1 @ u
         uy = u @ d1.T
-        return -0.5 * (ux**2 + nu**2 * uy**2) + lin_x @ u + u @ lin_y.T + lin_xy @ u @ d2.T
+        return -0.5 * (ux**2 + nu**2 * uy**2) + ax @ u + u @ ay.T + axy @ u @ d2.T
 
     rhs = RhsEvaluator(domain=dom, op=composite)
     reference = DenseRk4Reference(rhs_dense, ic, dt_ref=reference_dt)
@@ -241,7 +251,7 @@ def fp4d(
     """dp/dt = L p on the 4-torus with sinusoidal drift and g^2 = 1 + k sin
     diffusion coefficients; the initial profile is a rank-1 product of sines
     normalized by its L1 norm (integral of |sin| is 4 per axis, so 256)."""
-    _check_memory(n**4)
+    _check_memory(n**4, 7)
     dom = torus_domain(4, n)
     op = fp4d_operator(dom, alpha, beta, k)
     s1, s2, s3, s4 = np.ix_(*[np.sin(g.nodes) for g in dom.axes])

@@ -122,6 +122,10 @@ def _validated_setup(config: RunConfig):
     return problem, integ, round(ratio)
 
 
+def _tensor_is_finite(u) -> bool:
+    return all(np.all(np.isfinite(c)) for c in u.cores)
+
+
 def run_experiment(config: RunConfig, output_dir=None) -> dict:
     """Execute one run and write timeseries.csv, singular_values.csv,
     snapshots, run.log and summary.json into the output directory.
@@ -182,8 +186,9 @@ def run_experiment(config: RunConfig, output_dir=None) -> dict:
 
     with open(out / "timeseries.csv", "w", newline="") as csv_fh:
         csv_fh.write(",".join(header) + "\n")
-        last_error = measure_error(u0, 0.0)
-        row = [_fmt(0.0), _fmt(last_error), ""] + [str(r) for r in u0.ranks] + ["none"]
+        err0 = measure_error(u0, 0.0)
+        last_error = err0
+        row = [_fmt(0.0), _fmt(err0), ""] + [str(r) for r in u0.ranks] + ["none"]
         csv_fh.write(",".join(row) + "\n")
         record_snapshot(u0, 0.0, 0)
 
@@ -191,7 +196,7 @@ def run_experiment(config: RunConfig, output_dir=None) -> dict:
         for step in range(1, n_steps + 1):
             try:
                 state = adaptive_step(state, problem.rhs, integ)
-                blown_up = not all(np.all(np.isfinite(c)) for c in state.u.cores)
+                blown_up = not _tensor_is_finite(state.u)
             except np.linalg.LinAlgError:
                 # overflow can surface as a non-converging SVD before the
                 # finiteness check sees the state

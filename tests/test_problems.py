@@ -1,8 +1,11 @@
+import os
+
 import numpy as np
 import pytest
 
+from fttpde import problems
 from fttpde.ftt import from_full, integral, norm, scale, to_full, add
-from fttpde.grids import Domain, ShapeError, torus_domain
+from fttpde.grids import Domain, GridError, ShapeError, torus_domain
 from fttpde.integrators import rk4_dense_step
 from fttpde.operators import apply_separable_dense
 from fttpde.problems import (
@@ -292,3 +295,39 @@ def test_build_problem_registry():
     assert build_problem("advection2d", n=21).name == "advection2d"
     with pytest.raises(ValueError):
         build_problem("unknown")
+
+
+class _Built(Exception):
+    """Raised in place of torus_domain: the builder got past its guard."""
+
+
+@pytest.fixture
+def eight_gib(monkeypatch):
+    # 8 GiB of physical memory, and a torus_domain that stops the builder
+    # before it forms any array, so no case here allocates its grid
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2**21}
+    monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+
+    def no_domain(*args):
+        raise _Built
+
+    monkeypatch.setattr(problems, "torus_domain", no_domain)
+
+
+@pytest.mark.parametrize(
+    "builder, too_large, fits",
+    # kse2d at n = 12,000: six n x n arrays are 6.4 GiB, but a run holds ~36;
+    # fp4d at n = 115: six n^4 arrays are 7.8 GiB, the measured seven 9.1
+    [(kse2d, 12_000, 5_000), (advection2d, 12_000, 5_000), (fp4d, 115, 90)],
+)
+def test_grid_guard_counts_what_a_run_holds(eight_gib, builder, too_large, fits):
+    with pytest.raises(GridError, match="grid too large"):
+        builder(n=too_large)
+    with pytest.raises(_Built):
+        builder(n=fits)
+
+
+def test_grid_guard_skipped_without_sysconf(eight_gib, monkeypatch):
+    monkeypatch.delattr(os, "sysconf_names")
+    with pytest.raises(_Built):
+        kse2d(n=12_000)
