@@ -9,8 +9,12 @@ with OPENBLAS_NUM_THREADS=1, keeping every key of that tree's preset file
 except `t_final`, which is shortened to 3 * dec_period * dt.  For each
 preset the report says which `timeseries.csv` columns are byte-identical
 between the trees, the largest relative row difference of each column that
-is not, whether `singular_values.csv` is byte-identical and, if not, the
-same per-column difference for it, the relative change in `final_error`,
+is not (for `event`, the first step whose event differs, with each side's
+event, `normal_norm` and margin |normal_norm - eps_inc| / eps_inc, eps_inc
+as that side's `run.log` echoes it, so that an event decided at the
+threshold's roundoff reads apart from one far from it), whether
+`singular_values.csv` is byte-identical and, if not, the same per-column
+difference for it, the relative change in `final_error`,
 and the `summary.json` fields of SUMMARY_FIELDS (the step count, final
 time and ranks, and the event and evaluation counts) that differ, with both
 sides' values, and whether both runs wrote the same snapshot files byte
@@ -24,6 +28,7 @@ same time, so the times are indicative only.  Exits 1 if any run failed, else 0.
 import argparse
 import concurrent.futures
 import json
+import math
 import os
 import re
 import subprocess
@@ -99,6 +104,37 @@ def column_diffs(a: dict[str, list[str]], b: dict[str, list[str]]) -> tuple[list
     return identical, {c: max_rel_diff(a.get(c), b.get(c)) for c in names if c not in identical}
 
 
+def first_event_difference(a: dict, b: dict, eps_inc: tuple[float, float]) -> dict | None:
+    """The first step whose `event` differs between two timeseries, with
+    each side's `event`, `normal_norm` and relative margin |normal_norm -
+    eps_inc| / eps_inc, or None when the common rows agree.  A margin is None
+    where eps_inc is not positive and finite or normal_norm is empty."""
+    for step, events in enumerate(zip(a["event"], b["event"])):
+        if events[0] != events[1]:
+            break
+    else:
+        return None
+    norms = [float(x) if x else None for x in (a["normal_norm"][step], b["normal_norm"][step])]
+    return {
+        "step": step,
+        "event": list(events),
+        "normal_norm": norms,
+        "margin": [
+            abs(x - eps) / eps if x is not None and 0 < eps < math.inf else None
+            for x, eps in zip(norms, eps_inc)
+        ],
+    }
+
+
+def run_log_value(out: Path, key: str) -> str:
+    """The value `run.log` echoes for one configuration key."""
+    prefix = f"{key} = "
+    return next(
+        line[len(prefix):] for line in (out / "run.log").read_text().splitlines()
+        if line.startswith(prefix)
+    )
+
+
 def same_snapshots(a: Path, b: Path) -> bool:
     files = [sorted(out.glob("snapshot_*.fttsnap")) for out in (a, b)]
     return [f.name for f in files[0]] == [f.name for f in files[1]] and all(
@@ -108,9 +144,11 @@ def same_snapshots(a: Path, b: Path) -> bool:
 
 def compare(name: str, parent: tuple[Path, float], change: tuple[Path, float]) -> dict:
     (parent_out, rss_a), (change_out, rss_b) = parent, change
-    identical, differ = column_diffs(
-        columns(parent_out / "timeseries.csv"), columns(change_out / "timeseries.csv")
-    )
+    series = [columns(out / "timeseries.csv") for out in (parent_out, change_out)]
+    identical, differ = column_diffs(*series)
+    if "event" in differ:
+        eps_inc = tuple(float(run_log_value(out, "eps_inc")) for out in (parent_out, change_out))
+        differ["event"] = first_event_difference(*series, eps_inc)
     sv_a, sv_b = (out / "singular_values.csv" for out in (parent_out, change_out))
     sum_a = json.loads((parent_out / "summary.json").read_text())
     sum_b = json.loads((change_out / "summary.json").read_text())

@@ -1,6 +1,6 @@
 """Rank-adaptive functional tensor-train integration of periodic PDEs."""
 
-from .grids import Domain, Grid1D, make_domain, make_periodic_grid, quad_inner, torus_domain
+from .grids import Domain, Grid1D, make_periodic_grid, torus_domain
 from .ftt import (
     FttTensor,
     add,
@@ -45,50 +45,3 @@ from .problems import (
 )
 from .runner import RunConfig, parse_config, run_experiment
 from . import snapshots
-
-__all__ = [
-    "AdaptiveState",
-    "Domain",
-    "FttTensor",
-    "Grid1D",
-    "IntegratorConfig",
-    "ProblemSpec",
-    "RhsEvaluator",
-    "RunConfig",
-    "SeparableOperator",
-    "adaptive_step",
-    "add",
-    "advection2d",
-    "apply_separable",
-    "apply_separable_dense",
-    "bdf_tangent_estimate",
-    "build_problem",
-    "eval_rhs",
-    "fp4d",
-    "from_full",
-    "hadamard",
-    "inner",
-    "integral",
-    "kse2d",
-    "l2_error",
-    "lie_trotter_step",
-    "make_domain",
-    "make_periodic_grid",
-    "marginal_2d",
-    "norm",
-    "normal_component",
-    "orthogonalize",
-    "parse_config",
-    "qr_core",
-    "quad_inner",
-    "rk4_dense_step",
-    "run_experiment",
-    "scale",
-    "separable",
-    "snapshots",
-    "step_truncation_step",
-    "to_full",
-    "torus_domain",
-    "truncate",
-    "zero_pad",
-]

@@ -80,15 +80,6 @@ def make_periodic_grid(n: int, a: float, b: float) -> Grid1D:
     return Grid1D(n=n, a=float(a), b=float(b), nodes=nodes, weights=weights)
 
 
-def quad_inner(grid: Grid1D, f: np.ndarray, g: np.ndarray) -> float:
-    """Quadrature inner product sum_j f_j g_j w_j on one axis."""
-    f = np.asarray(f)
-    g = np.asarray(g)
-    if f.shape != (grid.n,) or g.shape != (grid.n,):
-        raise ShapeError(f"expected vectors of length {grid.n}, got {f.shape} and {g.shape}")
-    return float(np.sum(f * g * grid.weights))
-
-
 @dataclass(frozen=True, eq=False)
 class Domain:
     """Tensor product of periodic axes."""
@@ -111,10 +102,6 @@ class Domain:
         return self.ndim == other.ndim and all(
             a.matches(b) for a, b in zip(self.axes, other.axes)
         )
-
-
-def make_domain(*grids: Grid1D) -> Domain:
-    return Domain(axes=tuple(grids))
 
 
 def torus_domain(d: int, n: int) -> Domain:

@@ -39,13 +39,6 @@ class SeparableOperator:
         if len(self.terms) < 1:
             raise ValueError("separable operator needs at least one term")
 
-    @property
-    def rank(self) -> int:
-        return len(self.terms)
-
-    def __call__(self, u: FttTensor) -> FttTensor:
-        return apply_separable(self, u)
-
     def tt_matrix(self, shape: tuple[int, ...]) -> tuple[np.ndarray, ...]:
         """TT-matrix cores of shape (R_{k-1}, n_k, n_k, R_k) on a grid of
         the given shape, with boundary ranks 1; built once per shape.
@@ -240,13 +233,13 @@ def _stack_product(b: np.ndarray, j: int, k: int, values: np.ndarray, out: np.nd
 class RhsEvaluator:
     """Evaluator for du/dt = G(u) returning tensor trains.
 
-    `op` maps a tensor train to the unrounded G(u): a SeparableOperator, or
-    any function built from tensor-train arithmetic.  eval_rhs rounds its
-    result once, at relative tolerance G_TOL.
+    `op` is a SeparableOperator A, for G(u) = A u, or a function from a
+    tensor train to the unrounded G(u), built from tensor-train arithmetic.
+    eval_rhs rounds G once, at relative tolerance G_TOL.
     """
 
     domain: Domain
-    op: Callable[[FttTensor], FttTensor]
+    op: SeparableOperator | Callable[[FttTensor], FttTensor]
 
 
 def eval_rhs(rhs: RhsEvaluator, u: FttTensor, ranks=None) -> FttTensor:

@@ -17,6 +17,7 @@ from .integrators import rk4_dense_step
 from .operators import (
     RhsEvaluator,
     SeparableOperator,
+    apply_separable,
     apply_separable_dense,
     separable,
 )
@@ -194,10 +195,10 @@ def kse2d(
     )
 
     def composite(u: FttTensor) -> FttTensor:
-        ux = op_dx(u)
-        uy = op_dy(u)
+        ux = apply_separable(op_dx, u)
+        uy = apply_separable(op_dy, u)
         grad_sq = add(hadamard(ux, ux), scale(hadamard(uy, uy), nu**2))
-        return add(scale(grad_sq, -0.5), op_lin(u))
+        return add(scale(grad_sq, -0.5), apply_separable(op_lin, u))
 
     x1, x2 = np.meshgrid(g1.nodes, g2.nodes, indexing="ij")
     ic = np.sin(x1 + x2) + np.sin(x1) + np.sin(x2)

