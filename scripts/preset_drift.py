@@ -6,8 +6,11 @@
 Each SRC is a directory holding the `fttpde` package (a checkout's `src/`).
 Every preset of CHANGE_SRC runs once from each tree, in its own process
 with OPENBLAS_NUM_THREADS=1, keeping every key of that tree's preset file
-except `t_final`, which is shortened to 3 * dec_period * dt.  For each
-preset the report says which `timeseries.csv` columns are byte-identical
+except `t_final`.  Both sides run the same number of steps: 3 * dec_period
+of PARENT_SRC's preset (of CHANGE_SRC's where the parent has none), or
+FIXED_RANK_STEPS where that dec_period is 0, so that a preset whose removal
+settings change still runs as long on both sides.  For each preset the
+report says which `timeseries.csv` columns are byte-identical
 between the trees, the largest relative row difference of each column that
 is not (for `event`, the first step whose event differs, with each side's
 event, `normal_norm` and margin |normal_norm - eps_inc| / eps_inc, eps_inc
@@ -42,25 +45,35 @@ SUMMARY_FIELDS = (
     "modes_added", "modes_removed", "rhs_evals", "g_rank_max",
 )
 
-
-def shortened_config(preset: Path) -> str:
-    """The preset's text with t_final set to 3 * dec_period * dt."""
-    text = preset.read_text()
-    keys = dict(re.findall(r"^\s*(\w+)\s*=\s*(\S+)", text, flags=re.M))
-    t_final = 3 * int(keys["dec_period"]) * float(keys["dt"])
-    return re.sub(r"^\s*t_final\s*=.*$", f"t_final = {t_final!r}", text, flags=re.M)
+# the horizon of a preset that never removes modes (dec_period = 0)
+FIXED_RANK_STEPS = 300
 
 
-def run_preset(src: Path, name: str, work: Path) -> tuple[Path, float] | None:
-    """Run one preset from one tree; return its output directory and the
-    run's peak RSS in MB, or None if the preset is missing there or the run
-    failed."""
+def preset_keys(preset: Path) -> dict[str, str]:
+    return dict(re.findall(r"^\s*(\w+)\s*=\s*(\S+)", preset.read_text(), flags=re.M))
+
+
+def horizon_steps(preset: Path) -> int:
+    """3 * dec_period steps of the preset, or FIXED_RANK_STEPS if that is 0."""
+    return 3 * int(preset_keys(preset)["dec_period"]) or FIXED_RANK_STEPS
+
+
+def shortened_config(preset: Path, steps: int) -> str:
+    """The preset's text with t_final set to steps * dt."""
+    t_final = steps * float(preset_keys(preset)["dt"])
+    return re.sub(r"^\s*t_final\s*=.*$", f"t_final = {t_final!r}", preset.read_text(), flags=re.M)
+
+
+def run_preset(src: Path, name: str, steps: int, work: Path) -> tuple[Path, float] | None:
+    """Run one preset from one tree for the given number of steps; return its
+    output directory and the run's peak RSS in MB, or None if the preset is
+    missing there or the run failed."""
     preset = src / "fttpde" / "presets" / f"{name}.cfg"
     if not preset.is_file():
         return None
     work.mkdir(parents=True)
     cfg = work / f"{name}.cfg"
-    cfg.write_text(shortened_config(preset))
+    cfg.write_text(shortened_config(preset, steps))
     env = dict(os.environ, PYTHONPATH=str(src), **{k: "1" for k in THREAD_ENV})
     out = work / "out"
     log = work / "stderr.txt"
@@ -187,8 +200,10 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp, \
             concurrent.futures.ThreadPoolExecutor(max_workers=2) as pool:
         for name in names:
+            presets = [tree / "fttpde" / "presets" / f"{name}.cfg" for tree in trees]
+            steps = horizon_steps(presets[0] if presets[0].is_file() else presets[1])
             outs = list(pool.map(
-                lambda i: run_preset(trees[i], name, Path(tmp) / str(i) / name), (0, 1)
+                lambda i: run_preset(trees[i], name, steps, Path(tmp) / str(i) / name), (0, 1)
             ))
             if None in outs:
                 failed = True

@@ -25,15 +25,13 @@ from .operators import RhsEvaluator, eval_rhs
 
 logger = logging.getLogger(__name__)
 
-SCHEMES = ("lie_trotter", "step_truncation", "fixed_rank")
-
 # backward-difference weights per number of points, newest snapshot first:
 # the velocity estimate is sum_k c_k u_{i-k} / dt
 BDF_COEFFS = {2: (1.0, -1.0), 3: (1.5, -2.0, 0.5)}
 
 # the parts of a step timed in AdaptiveState.phase_s: G (both evaluations of
-# an addition step), the normal estimate, the mode addition, the sweep or
-# step-truncation, and the periodic removal
+# an addition step), the normal estimate, the mode addition, the sweep, and
+# the periodic removal
 PHASES = ("rhs", "estimate", "pad", "sweep", "dec")
 
 
@@ -48,8 +46,6 @@ class IntegratorConfig:
     eps_dec: float = 1e-12
     dec_period: int = 100
     bdf_points: int = 2
-    scheme: str = "lie_trotter"
-    max_ranks: tuple[int, ...] | None = None
 
     def __post_init__(self):
         if not (math.isfinite(self.dt) and self.dt > 0):
@@ -65,8 +61,6 @@ class IntegratorConfig:
             raise ValueError(f"dec_period must be nonnegative, got {self.dec_period}")
         if self.bdf_points not in BDF_COEFFS:
             raise ValueError(f"bdf_points must be in {tuple(BDF_COEFFS)}, got {self.bdf_points}")
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
 
 
 @dataclass
@@ -200,11 +194,10 @@ def _interior_rank_sum(u: FttTensor) -> int:
 
 def adaptive_step(state: AdaptiveState, rhs: RhsEvaluator, config: IntegratorConfig) -> AdaptiveState:
     """Advance one step: estimate the normal component, grow rank when it
-    exceeds eps_inc, take a splitting (or step-truncation) step, and shrink
-    rank every dec_period steps.  The time of each phase is added to
+    exceeds eps_inc, take a projector-splitting step, and shrink rank
+    every dec_period steps.  The time of each phase is added to
     state.phase_s."""
     dt = config.dt
-    adaptive = config.scheme == "lie_trotter"
     u = state.u
     clock = time.perf_counter
     start = clock()
@@ -230,8 +223,7 @@ def adaptive_step(state: AdaptiveState, rhs: RhsEvaluator, config: IntegratorCon
         tangent = bdf_tangent_estimate(state.history, p_eff, dt, hint)
         n_tensor, normal_norm = normal_component(g, tangent)
         if (
-            adaptive
-            and state.prev_tangent is not None
+            state.prev_tangent is not None
             and not state.eps_inc_warned
             and math.isfinite(config.eps_inc)
         ):
@@ -247,7 +239,7 @@ def adaptive_step(state: AdaptiveState, rhs: RhsEvaluator, config: IntegratorCon
                 state.eps_inc_warned = True
         lap("estimate")
 
-    padded = adaptive and normal_norm is not None and normal_norm > config.eps_inc
+    padded = normal_norm is not None and normal_norm > config.eps_inc
     if padded:
         before = _interior_rank_sum(u)
         n_compressed, _ = truncate(n_tensor, 1e-2)
@@ -257,16 +249,13 @@ def adaptive_step(state: AdaptiveState, rhs: RhsEvaluator, config: IntegratorCon
         g = eval_rhs(rhs, u, g.ranks)
         lap("rhs")
 
-    if config.scheme == "step_truncation":
-        u_new = step_truncation_step(u, scale(g, dt), config.eps_dec, config.max_ranks)
-    else:
-        u_new = lie_trotter_step(u, scale(g, dt))
+    u_new = lie_trotter_step(u, scale(g, dt))
     lap("sweep")
     if padded:
         # the modes the sweep kept: it drops a pad above a grid cap
         added = _interior_rank_sum(u_new) - before
         event = f"inc:{added}"
-    if adaptive and config.dec_period > 0 and (len(state.logs) + 1) % config.dec_period == 0:
+    if config.dec_period > 0 and (len(state.logs) + 1) % config.dec_period == 0:
         before = _interior_rank_sum(u_new)
         u_new, _ = truncate(u_new, config.eps_dec)
         removed = before - _interior_rank_sum(u_new)

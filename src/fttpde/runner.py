@@ -8,6 +8,7 @@ import os
 import time
 from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
@@ -24,7 +25,8 @@ class ConfigError(ValueError):
 @dataclass
 class RunConfig:
     problem: str
-    scheme: str
+    # not a config key: perfbench/child.py and perfbench/run.py read config.scheme
+    scheme: ClassVar[str] = "lie_trotter"
     dt: float
     t_final: float
     eps_inc: float = math.inf
@@ -39,11 +41,10 @@ class RunConfig:
     n: int | None = None
 
 
-_REQUIRED_KEYS = ("problem", "scheme", "dt", "t_final")
+_REQUIRED_KEYS = ("problem", "dt", "t_final")
 
 _PARSERS = {
     "problem": str,
-    "scheme": str,
     "dt": float,
     "t_final": float,
     "eps_inc": float,
@@ -229,7 +230,6 @@ def run_experiment(config: RunConfig, output_dir=None) -> dict:
 
     summary = {
         "problem": config.problem,
-        "scheme": config.scheme,
         "dt": config.dt,
         "t_final": config.t_final,
         "eps_inc": config.eps_inc if math.isfinite(config.eps_inc) else "inf",

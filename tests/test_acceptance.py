@@ -148,7 +148,7 @@ def test_criterion_3_consistency_slope():
     # evolve to a representative state first: at the initial condition the
     # velocity is exactly tangent (Fourier-mode bases), which pushes the
     # one-step difference into a higher-order regime
-    cfg = IntegratorConfig(dt=1e-3, scheme="fixed_rank", dec_period=0)
+    cfg = IntegratorConfig(dt=1e-3, dec_period=0)
     state = AdaptiveState.initial(prob.initial)
     for _ in range(1000):
         state = adaptive_step(state, prob.rhs, cfg)

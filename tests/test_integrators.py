@@ -212,14 +212,14 @@ def test_unhinted_estimate_is_truncate(sawtooth_state):
 
 
 @pytest.mark.parametrize(
-    "build, n, scheme",
-    [(advection2d, 17, "lie_trotter"), (fp4d, 9, "fixed_rank")],
+    "build, n",
+    [(advection2d, 17), (fp4d, 9)],
     ids=["two_axes", "rank_one"],
 )
-def test_hinted_estimate_without_a_sketch_is_truncate(build, n, scheme):
-    # fp4d starts at rank 1 and fixed_rank keeps it: the difference has ranks 2
+def test_hinted_estimate_without_a_sketch_is_truncate(build, n):
+    # fp4d starts at rank 1 and eps_inc = inf keeps it: the difference has ranks 2
     prob = build(n=n)
-    cfg = IntegratorConfig(dt=1e-3, dec_period=0, scheme=scheme)
+    cfg = IntegratorConfig(dt=1e-3, dec_period=0)
     state = AdaptiveState.initial(prob.initial)
     for _ in range(2):
         state = adaptive_step(state, prob.rhs, cfg)
@@ -260,7 +260,7 @@ def test_rank_preserving_dynamics_normal_vanishes_with_dt():
     u0 = from_full(np.sin(x1) + 0 * x2, dom, 1e-12)
     results = {}
     for dt in (1e-2, 1e-3):
-        cfg = IntegratorConfig(dt=dt, scheme="fixed_rank")
+        cfg = IntegratorConfig(dt=dt, dec_period=0)
         state = AdaptiveState.initial(u0)
         for _ in range(3):
             state = adaptive_step(state, rhs, cfg)
@@ -270,24 +270,6 @@ def test_rank_preserving_dynamics_normal_vanishes_with_dt():
 
 # ---------------------------------------------------------------------------
 # adaptive_step behavior
-
-def test_infinite_threshold_matches_fixed_rank():
-    prob = advection2d(n=33)
-    cfg_inf = IntegratorConfig(
-        dt=1e-3, eps_inc=math.inf, dec_period=0, scheme="lie_trotter"
-    )
-    cfg_fix = IntegratorConfig(dt=1e-3, dec_period=0, scheme="fixed_rank")
-    s1 = AdaptiveState.initial(prob.initial)
-    s2 = AdaptiveState.initial(prob.initial)
-    for _ in range(20):
-        s1 = adaptive_step(s1, prob.rhs, cfg_inf)
-        s2 = adaptive_step(s2, prob.rhs, cfg_fix)
-    assert s1.u.ranks == s2.u.ranks
-    assert norm(add(s1.u, scale(s2.u, -1.0))) <= 1e-13 * norm(s2.u)
-    for r1, r2 in zip(s1.logs, s2.logs):
-        assert (r1.ranks, r1.event) == (r2.ranks, r2.event)
-        assert r1.normal_norm == r2.normal_norm
-
 
 def test_interleaved_trajectories_keep_their_own_rank_hints():
     # the rank hint of the randomized rounding lives in each AdaptiveState,
@@ -389,8 +371,6 @@ def test_config_validation():
         IntegratorConfig(dt=-1.0)
     with pytest.raises(ValueError):
         IntegratorConfig(dt=1.0, bdf_points=5)
-    with pytest.raises(ValueError):
-        IntegratorConfig(dt=1.0, scheme="magic")
     # a NaN, an infinite dt or eps_dec, or a negative dec_period
     for settings in (
         {"dt": math.nan},
@@ -408,15 +388,15 @@ EPS_INC_WARNING = "below 10x the backward-difference error estimate"
 
 
 @pytest.mark.parametrize(
-    "eps_inc, scheme, expected",
-    [(1e-3, "lie_trotter", 1), (math.inf, "lie_trotter", 0), (1e-3, "fixed_rank", 0)],
-    ids=["small_threshold", "never_add", "fixed_rank"],
+    "eps_inc, expected",
+    [(1e-3, 1), (math.inf, 0)],
+    ids=["small_threshold", "never_add"],
 )
-def test_eps_inc_warning_is_logged_once(caplog, eps_inc, scheme, expected):
+def test_eps_inc_warning_is_logged_once(caplog, eps_inc, expected):
     # on fp4d the backward-difference error estimate reaches 3.4e-3 at step
     # 3, above eps_inc = 1e-3 / 10
     prob = fp4d(n=9)
-    cfg = IntegratorConfig(dt=1e-3, eps_inc=eps_inc, eps_dec=1e-8, dec_period=25, scheme=scheme)
+    cfg = IntegratorConfig(dt=1e-3, eps_inc=eps_inc, eps_dec=1e-8, dec_period=25)
     state = AdaptiveState.initial(prob.initial)
     with caplog.at_level(logging.WARNING, logger="fttpde.integrators"):
         for _ in range(6):
@@ -462,7 +442,7 @@ def test_bdf_normal_estimate_matches_dense_oracle():
     # recompute the estimated normal with plain dense arrays and compare
     prob = advection2d(n=33)
     dt = 1e-3
-    cfg = IntegratorConfig(dt=dt, scheme="fixed_rank", dec_period=0)
+    cfg = IntegratorConfig(dt=dt, dec_period=0)
     state = AdaptiveState.initial(prob.initial)
     dense_hist = [to_full(prob.initial)]
     for _ in range(5):

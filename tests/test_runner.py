@@ -25,7 +25,6 @@ def write_cfg(tmp_path, text, name="run.cfg"):
 
 SMALL_ADVECTION = """
 problem = advection2d
-scheme = lie_trotter
 dt = 1e-3
 t_final = 0.02
 eps_inc = 1e-2
@@ -56,7 +55,7 @@ def test_parse_unknown_key(tmp_path):
 
 
 def test_parse_bad_value_names_key(tmp_path):
-    path = write_cfg(tmp_path, "problem = advection2d\nscheme = lie_trotter\ndt = fast\nt_final = 1\n")
+    path = write_cfg(tmp_path, "problem = advection2d\ndt = fast\nt_final = 1\n")
     with pytest.raises(ConfigError, match="dt"):
         parse_config(path)
 
@@ -65,7 +64,7 @@ def test_parse_empty_file_lists_required(tmp_path):
     path = write_cfg(tmp_path, "# nothing here\n")
     with pytest.raises(ConfigError) as err:
         parse_config(path)
-    for key in ("problem", "scheme", "dt", "t_final"):
+    for key in ("problem", "dt", "t_final"):
         assert key in str(err.value)
 
 
@@ -81,19 +80,19 @@ def test_parse_duplicate_key(tmp_path):
 
 
 def test_parse_max_ranks(tmp_path):
-    path = write_cfg(tmp_path, "problem = fp4d\nscheme = fixed_rank\ndt = 1e-3\nt_final = 0.01\nmax_ranks = 1,2,3,2,1\n")
+    path = write_cfg(tmp_path, "problem = fp4d\ndt = 1e-3\nt_final = 0.01\nmax_ranks = 1,2,3,2,1\n")
     assert parse_config(path).max_ranks == (1, 2, 3, 2, 1)
 
 
 def test_parse_inf_threshold(tmp_path):
-    path = write_cfg(tmp_path, "problem = advection2d\nscheme = lie_trotter\ndt = 1e-3\nt_final = 0.01\neps_inc = inf\n")
+    path = write_cfg(tmp_path, "problem = advection2d\ndt = 1e-3\nt_final = 0.01\neps_inc = inf\n")
     assert math.isinf(parse_config(path).eps_inc)
 
 
 def test_run_config_defaults_match_integrator_config():
     # runner and integrators each state these defaults: a CLI run and a
     # library run of the same settings agree only while they are equal
-    shared = ("eps_inc", "eps_dec", "dec_period", "bdf_points", "max_ranks")
+    shared = ("eps_inc", "eps_dec", "dec_period", "bdf_points")
     run = {f.name: f.default for f in fields(RunConfig)}
     lib = {f.name: f.default for f in fields(IntegratorConfig)}
     assert [run[k] for k in shared] == [lib[k] for k in shared]
@@ -218,7 +217,6 @@ def test_summary_reports_reference_time(small_run, tmp_path):
 
 SMALL_FP4D = """
 problem = fp4d
-scheme = lie_trotter
 dt = 1e-3
 t_final = 0.006
 eps_inc = 1e-3
@@ -249,7 +247,8 @@ def test_summary_counts_rhs_evaluations_and_g_rank(tmp_path, monkeypatch):
         g_rank_max = max(g_rank_max, *state.g_ranks[1:-1])
     assert summary["g_rank_max"] == g_rank_max
     assert len(evals) == summary["rhs_evals"]
-    fixed = SMALL_FP4D.replace("lie_trotter", "fixed_rank")
+    # the fixed-rank recipe: no eps_inc and dec_period = 0
+    fixed = SMALL_FP4D.replace("eps_inc = 1e-3\n", "").replace("dec_period = 25", "dec_period = 0")
     summary = run_experiment(parse_config(write_cfg(tmp_path, fixed)), tmp_path / "fixed")
     assert summary["rhs_evals"] == summary["steps_completed"] == 6
     header = (tmp_path / "fixed" / "timeseries.csv").read_text().splitlines()[0]
@@ -328,17 +327,32 @@ def test_rerun_is_byte_identical(small_run, tmp_path):
     assert a == b
 
 
-def test_fixed_rank_advection_keeps_rank(tmp_path):
+@pytest.mark.parametrize(
+    "problem, dt, max_ranks, n",
+    [
+        ("advection2d", 1e-3, "1,15,1", 21),
+        ("kse2d", 1e-5, "1,2,1", 9),
+        ("fp4d", 1e-3, "1,1,1,1,1", 9),
+    ],
+    ids=["advection2d", "kse2d", "fp4d"],
+)
+def test_fixed_rank_advection_keeps_rank(tmp_path, problem, dt, max_ranks, n):
+    # the fixed-rank recipe: eps_inc unset (never add) and dec_period = 0
+    # (never remove); the normal component is still estimated and reported
     cfg_path = write_cfg(
         tmp_path,
-        "problem = advection2d\nscheme = fixed_rank\ndt = 1e-3\nt_final = 0.01\n"
-        "max_ranks = 1,15,1\nreference = off\nn = 21\n",
+        f"problem = {problem}\ndt = {dt}\nt_final = {10 * dt}\n"
+        f"max_ranks = {max_ranks}\ndec_period = 0\nreference = off\nn = {n}\n",
     )
     summary = run_experiment(parse_config(cfg_path), output_dir=tmp_path / "out")
     lines = (tmp_path / "out" / "timeseries.csv").read_text().splitlines()[1:]
-    r1 = {line.split(",")[4] for line in lines}
+    rows = [line.split(",") for line in lines]
     assert summary["status"] == "ok"
-    assert r1 == {"15"} or r1 == {str(min(15, 21))}
+    assert summary["steps_completed"] == len(rows) - 1 == 10
+    assert {",".join(row[3:-1]) for row in rows} == {max_ranks}
+    assert all(row[2] for row in rows[2:])
+    assert {row[-1] for row in rows} == {"none"}
+    assert summary["inc_events"] == summary["dec_events"] == 0
 
 
 def test_singular_values_file_schema(small_run):
@@ -392,14 +406,17 @@ def test_cli_bad_config_exit_code(tmp_path, capsys):
 @pytest.mark.parametrize(
     "text,message",
     [
-        ("problem = fp4d\nscheme = fixed_rank\ndt = 1e-3\nt_final = 0.01\n"
+        ("problem = fp4d\ndt = 1e-3\nt_final = 0.01\n"
          "max_ranks = 1,2,1\nn = 7\n", "max_ranks"),
-        ("problem = advection2d\nscheme = lie_trotter\ndt = 1e-3\nt_final = 0.01\nn = 2\n",
+        ("problem = advection2d\ndt = 1e-3\nt_final = 0.01\nn = 2\n",
          "grid points"),
-        ("problem = advection2d\nscheme = bogus\ndt = 1e-3\nt_final = 0.01\nn = 21\n", "scheme"),
-        ("problem = advection2d\nscheme = lie_trotter\ndt = 1e-3\nt_final = 0.0026\nn = 21\n",
+        # the config format has no scheme key: an old fixed-rank config
+        # with eps_inc set must not run as an adaptive run
+        ("problem = advection2d\nscheme = fixed_rank\ndt = 1e-3\nt_final = 0.01\n"
+         "eps_inc = 1e-2\nn = 21\n", "line 2: unknown key 'scheme'"),
+        ("problem = advection2d\ndt = 1e-3\nt_final = 0.0026\nn = 21\n",
          "whole number of steps"),
-        ("problem = advection2d\nscheme = lie_trotter\ndt = 1e-3\nt_final = 0.01\n"
+        ("problem = advection2d\ndt = 1e-3\nt_final = 0.01\n"
          "n = 10000000\n", "grid too large"),
     ],
     ids=["max_ranks_length", "too_few_points", "unknown_scheme", "fractional_steps",
@@ -420,7 +437,7 @@ def test_cli_rejects_invalid_config_before_writing(tmp_path, capsys, text, messa
 def test_run_experiment_rejects_an_oversize_grid(tmp_path, problem):
     # the first n x n array would take 800 TB: the grid is refused before
     # any array of its size is formed
-    text = f"problem = {problem}\nscheme = lie_trotter\ndt = 1e-3\nt_final = 0.01\nn = 10000000\n"
+    text = f"problem = {problem}\ndt = 1e-3\nt_final = 0.01\nn = 10000000\n"
     with pytest.raises(ConfigError, match="grid too large"):
         run_experiment(parse_config(write_cfg(tmp_path, text)), output_dir=tmp_path / "out")
     assert not (tmp_path / "out").exists()
@@ -430,7 +447,6 @@ def test_run_experiment_rejects_an_oversize_grid(tmp_path, problem):
 # sweep used to truncate to rank 1 and the run still ended "ok"
 SMALL_DEC = """
 problem = advection2d
-scheme = lie_trotter
 dt = 1e-3
 t_final = 0.005
 dec_period = 2
@@ -541,7 +557,6 @@ def test_cli_rejects_jobs_below_one(tmp_path, capsys, jobs):
 
 SMALL_KSE = """
 problem = kse2d
-scheme = lie_trotter
 dt = 1e-5
 t_final = 3e-5
 eps_inc = 10.0
@@ -602,8 +617,8 @@ def test_blowup_aborts_with_lastgood_snapshot(tmp_path, capsys):
     # failure, keep the last finite state, and exit nonzero
     cfg = write_cfg(
         tmp_path,
-        "problem = kse2d\nscheme = step_truncation\ndt = 1.0\nt_final = 100.0\n"
-        "max_ranks = 1,2,1\neps_dec = 1e-10\nreference = off\n",
+        "problem = kse2d\ndt = 1.0\nt_final = 100.0\n"
+        "max_ranks = 1,2,1\ndec_period = 0\nreference = off\n",
     )
     with np.errstate(all="ignore"):
         rc = cli_main(["run", str(cfg), "--output-dir", str(tmp_path / "out")])
