@@ -424,26 +424,21 @@ def _max_interface_ranks(domain: Domain) -> list[int]:
     return [1] + [min(math.prod(ns[:k]), math.prod(ns[k:])) for k in range(1, len(ns))] + [1]
 
 
-def zero_pad(u: FttTensor, template: FttTensor) -> FttTensor:
-    """Append zero-energy modes: represents u exactly with ranks grown by
-    the template's ranks at each interior interface.
+def zero_pad(u: FttTensor, normal: FttTensor, tol: float) -> FttTensor:
+    """Append zero-energy modes along normal: represents u exactly with
+    ranks grown by those of normal rounded at relative tolerance tol.
 
-    The padded tensor is right-orthogonalized down to core 2, so cores
-    2..d hold the template's directions beside u's, right-orthonormal, and
-    the zero coefficients sit in core 1 only (right_orth_from = 2).
-    Template ranks are clipped to what the grid leaves free, but to at least
-    1: an interface already at its grid cap is padded one above it, and the
-    right sweep here or the next left sweep drops that mode again.
+    The rounding is one truncate sweep whose ranks are capped by what the
+    grid leaves free, but at least 1: an interface already at its grid cap is padded one
+    above it, and the right sweep here or the next left sweep drops that
+    mode again.  The padded tensor is right-orthogonalized down to core 2,
+    so cores 2..d hold the rounded normal's directions beside u's,
+    right-orthonormal, and the zero coefficients sit in core 1 only
+    (right_orth_from = 2).
     """
-    _check_same_domain(u, template)
-    caps = _max_interface_ranks(u.domain)
-    ru = u.ranks
-    allowed = [max(c - r, 0) for c, r in zip(caps, ru)]
-    rt = template.ranks
-    if any(rt[k] > allowed[k] for k in range(1, u.ndim)):
-        cap_vec = [max(min(rt[k], allowed[k]), 1) for k in range(u.ndim + 1)]
-        cap_vec[0] = cap_vec[-1] = 1
-        template, _ = truncate(template, 0.0, max_ranks=cap_vec)
+    _check_same_domain(u, normal)
+    free = [max(c - r, 1) for c, r in zip(_max_interface_ranks(u.domain), u.ranks)]
+    template, _ = truncate(normal, tol, max_ranks=free)
     padded = add(u, scale(template, 0.0))
     out, _ = orthogonalize(padded, "right", 2)
     return out

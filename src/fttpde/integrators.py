@@ -242,8 +242,7 @@ def adaptive_step(state: AdaptiveState, rhs: RhsEvaluator, config: IntegratorCon
     padded = normal_norm is not None and normal_norm > config.eps_inc
     if padded:
         before = _interior_rank_sum(u)
-        n_compressed, _ = truncate(n_tensor, 1e-2)
-        u = zero_pad(u, n_compressed)
+        u = zero_pad(u, n_tensor, 1e-2)
         lap("pad")
         # the padded train is the same function, so G's ranks are too
         g = eval_rhs(rhs, u, g.ranks)

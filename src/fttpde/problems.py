@@ -173,13 +173,16 @@ def advection2d(n: int = 81, reference_dt: float = 1e-3) -> ProblemSpec:
 # ---------------------------------------------------------------------------
 # 2D Kuramoto-Sivashinsky
 
-def kse2d(
-    n: int = 33, nu1: float = 0.25, nu2: float = 0.04, reference_dt: float = 1e-5
-) -> ProblemSpec:
+KSE_NU1, KSE_NU2 = 0.25, 0.04
+
+
+def kse2d(n: int = 33, reference_dt: float = 1e-5) -> ProblemSpec:
     """du/dt = -1/2 |grad_nu u|^2 - lap_nu u - nu1 lap_nu^2 u on the 2-torus,
-    with the anisotropy nu = nu2/nu1 entering the y-direction operators."""
+    nu1, nu2 = KSE_NU1, KSE_NU2, with the anisotropy nu = nu2/nu1 entering
+    the y-direction operators."""
     _check_memory(n**2, 36)
-    nu = nu2 / nu1
+    nu1 = KSE_NU1
+    nu = KSE_NU2 / nu1
     dom = torus_domain(2, n)
     g1, g2 = dom.axes
     d1, d2, d4 = g1.diff1, g1.diff2, g1.diff4
@@ -218,15 +221,20 @@ def kse2d(
     rhs = RhsEvaluator(domain=dom, op=composite)
     reference = DenseRk4Reference(rhs_dense, ic, dt_ref=reference_dt)
     return ProblemSpec(
-        "kse2d", dom, rhs, initial, reference, params={"nu1": nu1, "nu2": nu2, "nu": nu}
+        "kse2d", dom, rhs, initial, reference, params={"nu1": nu1, "nu2": KSE_NU2, "nu": nu}
     )
 
 
 # ---------------------------------------------------------------------------
 # 4D Fokker-Planck
 
-def fp4d_operator(domain: Domain, alpha: float, beta: float, k: float) -> SeparableOperator:
+# drift strength, diffusion strength and diffusion modulation
+FP4D_ALPHA, FP4D_BETA, FP4D_K = 0.1, 2.0, 1.0
+
+
+def fp4d_operator(domain: Domain) -> SeparableOperator:
     """Drift/diffusion generator written as a rank-9 separable operator."""
+    alpha, beta, k = FP4D_ALPHA, FP4D_BETA, FP4D_K
     d1 = [g.diff1 for g in domain.axes]
     d2 = [g.diff2 for g in domain.axes]
     sin = [np.diag(np.sin(g.nodes)) for g in domain.axes]
@@ -246,15 +254,13 @@ def fp4d_operator(domain: Domain, alpha: float, beta: float, k: float) -> Separa
     return separable(terms)
 
 
-def fp4d(
-    n: int = 21, alpha: float = 0.1, beta: float = 2.0, k: float = 1.0, reference_dt: float = 1e-3
-) -> ProblemSpec:
+def fp4d(n: int = 21, reference_dt: float = 1e-3) -> ProblemSpec:
     """dp/dt = L p on the 4-torus with sinusoidal drift and g^2 = 1 + k sin
     diffusion coefficients; the initial profile is a rank-1 product of sines
     normalized by its L1 norm (integral of |sin| is 4 per axis, so 256)."""
     _check_memory(n**4, 7)
     dom = torus_domain(4, n)
-    op = fp4d_operator(dom, alpha, beta, k)
+    op = fp4d_operator(dom)
     s1, s2, s3, s4 = np.ix_(*[np.sin(g.nodes) for g in dom.axes])
     dense_ic = s1 * s2 * s3 * s4 / 256.0
     initial = from_full(dense_ic, dom, 1e-12)
@@ -264,9 +270,8 @@ def fp4d(
         return apply_separable_dense(op, p)
 
     reference = DenseRk4Reference(rhs_dense, dense_ic, dt_ref=reference_dt)
-    return ProblemSpec(
-        "fp4d", dom, rhs, initial, reference, params={"alpha": alpha, "beta": beta, "k": k}
-    )
+    params = {"alpha": FP4D_ALPHA, "beta": FP4D_BETA, "k": FP4D_K}
+    return ProblemSpec("fp4d", dom, rhs, initial, reference, params=params)
 
 
 PROBLEM_BUILDERS = {

@@ -227,6 +227,14 @@ def run_experiment(config: RunConfig, output_dir=None) -> dict:
     steps_done = len(state.logs)
     incs = [rec.added for rec in state.logs if rec.event.startswith("inc:")]
     decs = [rec.removed for rec in state.logs if rec.removed > 0]
+    # modes added and then removed again: per removal window, the smaller of
+    # the modes added in it and the modes its sweep removed
+    spurious = window = 0
+    for step, rec in enumerate(state.logs, start=1):
+        window += rec.added
+        if integ.dec_period > 0 and step % integ.dec_period == 0:
+            spurious += min(window, rec.removed)
+            window = 0
 
     summary = {
         "problem": config.problem,
@@ -243,6 +251,7 @@ def run_experiment(config: RunConfig, output_dir=None) -> dict:
         "dec_events": len(decs),
         "modes_added": sum(incs),
         "modes_removed": sum(decs),
+        "spurious_modes": spurious,
         # one evaluation per step and a second on each addition step
         "rhs_evals": steps_done + len(incs),
         "g_rank_max": g_rank_max,

@@ -167,7 +167,7 @@ FP4D_SAWTOOTH = IntegratorConfig(dt=1e-3, eps_inc=1e-3, eps_dec=1e-8, dec_period
 @pytest.fixture(scope="module")
 def sawtooth_state():
     """fp4d_inc1e-3 (n=21) after 24 steps: the estimate of step 25 rounds
-    a difference of ranks (1, 42, 227, 42, 1)."""
+    a difference of ranks (1, 42, 161, 42, 1)."""
     prob = fp4d()
     state = AdaptiveState.initial(prob.initial)
     for _ in range(24):
@@ -193,8 +193,8 @@ def test_hinted_estimate_matches_truncate_at_the_sawtooth_state(sawtooth_state, 
     assert_same_bytes(bdf_tangent_estimate(history, 2, 1e-3, hint), out)
 
 
-def test_hinted_estimate_peaks_below_8_mib(sawtooth_state):
-    # truncate of the same difference peaks at ~11.9 MiB
+def test_hinted_estimate_peaks_below_5_mib(sawtooth_state):
+    # ~3.7 MiB; truncate of the same difference peaks at ~6.2 MiB
     history, hint = sawtooth_state.history, sawtooth_state.prev_tangent.ranks
     tracemalloc.start()
     try:
@@ -202,7 +202,7 @@ def test_hinted_estimate_peaks_below_8_mib(sawtooth_state):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 8 * 2**20
+    assert peak < 5 * 2**20
 
 
 def test_unhinted_estimate_is_truncate(sawtooth_state):
@@ -331,6 +331,36 @@ def test_step_after_an_addition_is_continuous_in_g(monkeypatch):
     base = lie_trotter_step(u, delta_u)
     moved = lie_trotter_step(u, scale(delta_u, 1.0 + 1e-15))
     assert norm(add(moved, scale(base, -1.0))) <= 1e-14 * norm(base)
+
+
+def test_addition_rounds_the_normal_once_within_the_free_ranks(monkeypatch):
+    # fp4d n=9 reaches the outer grid cap 9 by step 5; rounding the normal
+    # at 1e-2 without the cap and then clipping it to the free ranks kept
+    # 5 middle modes there, two of them below the tolerance
+    prob = fp4d(n=9)
+    pads = []
+
+    def spy(u, normal, tol):
+        pads.append((u, normal, tol))
+        return zero_pad(u, normal, tol)
+
+    monkeypatch.setattr(integrators, "zero_pad", spy)
+    state = AdaptiveState.initial(prob.initial)
+    for _ in range(5):
+        state = adaptive_step(state, prob.rhs, FP4D_SAWTOOTH)
+    u, normal, tol = pads[-1]
+    assert len(pads) == 4 and tol == 1e-2
+    assert u.ranks == (1, 9, 14, 9, 1)
+    free = [1, 1, 81 - 14, 1, 1]
+    once, _ = truncate(normal, tol, max_ranks=free)
+    assert once.ranks == (1, 1, 3, 1, 1)
+    padded = zero_pad(u, normal, tol)
+    # u's ranks plus the rounded normal's; the right sweep already drops the
+    # pad above the cap at interface 3, the step's sweep the one at interface 1
+    assert padded.ranks == (1, 10, 17, 9, 1)
+    assert state.logs[-1].event == "inc:3"
+    twice, _ = truncate(truncate(normal, tol)[0], 0.0, max_ranks=free)
+    assert twice.ranks[2] == 5
 
 
 def test_no_adaptation_on_first_step(dom2, rng):
@@ -503,7 +533,7 @@ READ_ONLY_CASES = {
     "orthogonalize_left": lambda u, v: orthogonalize(u, "left", 2),
     "orthogonalize_right": lambda u, v: orthogonalize(u, "right", 1),
     "norm": lambda u, v: norm(u),
-    "zero_pad": lambda u, v: zero_pad(u, v),
+    "zero_pad": lambda u, v: zero_pad(u, v, tol=0.0),
     "lie_trotter_step": lambda u, v: lie_trotter_step(u, scale(v, 1e-3)),
     "step_truncation_step": lambda u, v: step_truncation_step(u, scale(v, 1e-3), 1e-10),
     "eval_rhs": lambda u, v: eval_rhs(_gradient_rhs(u.domain), u),

@@ -166,6 +166,7 @@ def test_dense_reference_lands_exactly_between_steps(dom2, rng):
 
 def test_kse_parameters():
     prob = kse2d()
+    assert (prob.params["nu1"], prob.params["nu2"]) == (0.25, 0.04)
     assert prob.params["nu"] == pytest.approx(0.16)
     assert prob.domain.shape == (33, 33)
 
@@ -192,6 +193,7 @@ def test_kse_initial_rank_from_svd_oracle():
 def test_fp_operator_has_nine_terms():
     prob = fp4d(n=7)
     assert len(prob.rhs.op.terms) == 9
+    assert prob.params == {"alpha": 0.1, "beta": 2.0, "k": 1.0}
 
 
 def test_fp_initial_normalization():

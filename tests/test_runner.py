@@ -276,6 +276,21 @@ def test_inc_labels_count_the_kept_modes(small_fp4d_run):
     assert sum(inc) == summary["modes_added"]
 
 
+def test_summary_counts_modes_added_and_removed_again(small_fp4d_run, tmp_path):
+    # fp4d adds modes on every step from step 2, and each sweep removes
+    # fewer than its window added; advection2d adds none, so nothing the
+    # sweeps remove was added
+    sweep_every_3 = SMALL_FP4D.replace("dec_period = 25", "dec_period = 3")
+    fp = run_experiment(parse_config(write_cfg(tmp_path, sweep_every_3)), tmp_path / "fp")
+    assert fp["modes_added"] > fp["modes_removed"] == fp["spurious_modes"] == 30
+    coarse = SMALL_DEC + "eps_dec = 1e-2\n"
+    dec = run_experiment(parse_config(write_cfg(tmp_path, coarse)), tmp_path / "dec")
+    assert dec["modes_removed"] > 0 and dec["modes_added"] == dec["spurious_modes"] == 0
+    # additions with no removal sweep after them count none
+    no_sweep = small_fp4d_run[1]
+    assert no_sweep["modes_added"] > 0 and no_sweep["spurious_modes"] == 0
+
+
 def test_summary_reports_time_per_phase(small_run, small_fp4d_run, tmp_path):
     never_add = SMALL_ADVECTION.replace("eps_inc = 1e-2", "eps_inc = inf")
     summaries = [
