@@ -19,9 +19,9 @@ threshold's roundoff reads apart from one far from it), whether
 `singular_values.csv` is byte-identical and, if not, the same per-column
 difference for it, the relative change in `final_error`,
 and the `summary.json` fields of SUMMARY_FIELDS (the step count, final
-time and ranks, and the event and evaluation counts) that differ, with both
-sides' values, and whether both runs wrote the same snapshot files byte
-for byte.  It also reports each side's cost: `wall_time_s`,
+time and ranks, and the event, evaluation and spurious-mode counts) that
+differ, with both sides' values, and whether both runs wrote the same
+snapshot files byte for byte.  It also reports each side's cost: `wall_time_s`,
 `reference_s` (the time spent in the reference solution) and `phase_s`
 (the time per step phase) from its `summary.json`, and the peak RSS of its
 own process in MB (from that process's rusage).  The two sides run at the
@@ -42,7 +42,7 @@ from pathlib import Path
 THREAD_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 SUMMARY_FIELDS = (
     "steps_completed", "final_t", "final_ranks", "inc_events", "dec_events",
-    "modes_added", "modes_removed", "rhs_evals", "g_rank_max",
+    "modes_added", "modes_removed", "rhs_evals", "g_rank_max", "spurious_modes",
 )
 
 # the horizon of a preset that never removes modes (dec_period = 0)

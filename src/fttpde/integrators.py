@@ -12,6 +12,7 @@ import numpy as np
 
 from .ftt import (
     FttTensor,
+    _check_same_domain,
     _right_orthogonalized,
     add,
     norm,
@@ -108,8 +109,7 @@ def lie_trotter_step(u: FttTensor, delta_u: FttTensor) -> FttTensor:
     a rank above its grid cap (left of a zero_pad) drops to the cap, and
     the result is left-orthogonal.
     """
-    if not u.domain.matches(delta_u.domain):
-        raise ValueError("increment lives on a different domain")
+    _check_same_domain(u, delta_u)
     d = u.ndim
     v = _right_orthogonalized(u)
     weights = [g.weights for g in u.domain.axes]

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -27,9 +26,7 @@ class SeparableOperator:
     None stands for the identity.  Variable coefficients enter as diagonal
     matrices on the grid.  The tensor-train path applies the operator as a
     compressed TT-matrix, built on first use for each grid shape and cached
-    on the operator; the cached cores are read-only.  The dense path uses
-    the factors classified once into diagonal and dense and grouped once
-    into batched products (`dense_plan`).
+    on the operator; the cached cores are read-only.
     """
 
     terms: tuple[tuple[np.ndarray | None, ...], ...]
@@ -49,64 +46,6 @@ class SeparableOperator:
             cores = _build_tt_matrix(self.terms, shape)
             self._tt_cache[shape] = cores
         return cores
-
-    @cached_property
-    def dense_plan(self) -> tuple[tuple[tuple[int, int, np.ndarray], ...], tuple]:
-        """The terms grouped into stacks for `apply_separable_dense`.  A factor
-        whose off-diagonal entries are all exactly zero counts as a diagonal
-        c, any other as a dense matrix A.  A term of A on axis j and c on
-        axis k is the stack B[i] = c[i] A over i < n_k; terms with the same
-        (j, k) add into one stack.  A term with a single factor joins a stack
-        that acts on its axis: A as A on axis j, c as diag(c) on axis j or as
-        c on axis k.  Returns the stacks as (j, k, B), B of shape
-        (n_k, n_j, n_j), and the factors (axis, is_diagonal, array) of every
-        other term, dense first so that the diagonals, shaped to broadcast
-        along their axis, can scale the term in place.  Read-only."""
-        d = len(self.terms[0])
-        stacks: dict[tuple[int, int], np.ndarray] = {}
-        single, loose = [], []
-        for term in self.terms:
-            dense, diagonal = [], []
-            for j, mat in enumerate(term):
-                if mat is None:
-                    continue
-                diag = np.diagonal(mat)
-                if np.any(mat - np.diag(diag)):
-                    dense.append((j, False, mat.view()))
-                else:
-                    shape = (1,) * j + (-1,) + (1,) * (d - 1 - j)
-                    diagonal.append((j, True, diag.reshape(shape).copy()))
-            factors = tuple(dense + diagonal)
-            for _, _, arr in factors:
-                arr.flags.writeable = False
-            if len(dense) == len(diagonal) == 1:
-                (j, _, mat), (k, _, diag) = factors
-                b = diag.reshape(-1, 1, 1) * mat
-                stacks[j, k] = stacks[j, k] + b if (j, k) in stacks else b
-            elif len(factors) == 1:
-                single.append(factors)
-            else:
-                loose.append(factors)
-        for factors in single:
-            ((axis, is_diag, arr),) = factors
-            for (j, k), b in stacks.items():
-                if axis == j and not is_diag:
-                    b += arr
-                elif axis == j:
-                    b += np.diag(arr.ravel())
-                elif axis == k and is_diag:
-                    b += arr.reshape(-1, 1, 1) * np.eye(b.shape[1])
-                else:
-                    continue
-                break
-            else:
-                loose.append(factors)
-        for b in stacks.values():
-            b.flags.writeable = False
-        # a stack batched over the last axis needs a copy; the first stack
-        # is written straight into the output, so those go last
-        order = sorted(stacks, key=lambda jk: jk[1] == d - 1)
-        return tuple((j, k, stacks[j, k]) for j, k in order), tuple(loose)
 
 
 def separable(terms: Sequence[Sequence[np.ndarray | None]]) -> SeparableOperator:
@@ -159,22 +98,32 @@ def apply_separable(op: SeparableOperator, u: FttTensor) -> FttTensor:
 
 
 def apply_separable_dense(op: SeparableOperator, values: np.ndarray) -> np.ndarray:
-    """Dense application through `op.dense_plan`: each stack is one batched
-    matrix product, added into the output in place; each other term is one
-    pass per factor (a matrix product on a reshaped view for a dense factor,
-    a broadcast multiply for a diagonal one, nothing for an identity).
+    """Dense oracle against the tensor-train path: the sum over the terms of
+    one `np.tensordot` per non-identity factor.  Never forms the full
+    Kronecker matrix and never writes into `values`."""
+    if any(len(term) != values.ndim for term in op.terms):
+        raise ShapeError(f"operator terms do not all have {values.ndim} factors")
+    out = np.zeros(values.shape)
+    for term in op.terms:
+        piece = values
+        for j, mat in enumerate(term):
+            if mat is not None:
+                piece = np.moveaxis(np.tensordot(mat, piece, axes=(1, j)), 0, j)
+        out += piece
+    return out
 
-    Never forms the full Kronecker matrix and never writes into `values`;
-    used by dense reference solvers and as the oracle against the
-    tensor-train path.
-    """
-    shape = values.shape
+
+def apply_stacks(stacks: Sequence[tuple[int, int, np.ndarray]], values: np.ndarray) -> np.ndarray:
+    """Sum of batched products, one `np.matmul` per stack (j, k, B) with B
+    of shape (n_k, n_j, n_j): the stack maps values to
+    sum_y B[x_k][x_j, y] values[..., y, ...], y on axis j.  The first stack
+    is written straight into the output, the others through one work array
+    and added in place, so stacks batched over the last axis, which need a
+    copy of `values`, go best after the first.  Never writes into the
+    stacks or into `values`; used by dense reference solvers."""
     d = values.ndim
-    if any(len(term) != d for term in op.terms):
-        raise ShapeError(f"operator terms do not all have {d} factors")
-    stacks, loose = op.dense_plan
-    out = np.empty(shape) if stacks else np.zeros(shape)
-    work = np.empty(shape)
+    out = np.empty(values.shape) if stacks else np.zeros(values.shape)
+    work = np.empty(values.shape)
     for s, (j, k, b) in enumerate(stacks):
         if k < d - 1:
             piece = out if s == 0 else work
@@ -190,16 +139,6 @@ def apply_separable_dense(op: SeparableOperator, values: np.ndarray) -> np.ndarr
             np.add(out, piece, out=out)
         elif piece is not out:
             np.copyto(out, piece)
-    for factors in loose:
-        piece = values
-        for j, is_diag, arr in factors:
-            if is_diag:
-                piece = np.multiply(piece, arr, out=None if piece is values else piece)
-            elif j == d - 1:
-                piece = (piece.reshape(-1, shape[j]) @ arr.T).reshape(shape)
-            else:
-                piece = (arr @ piece.reshape(shape[: j + 1] + (-1,))).reshape(shape)
-        np.add(out, piece, out=out)
     return out
 
 

@@ -18,7 +18,7 @@ from .operators import (
     RhsEvaluator,
     SeparableOperator,
     apply_separable,
-    apply_separable_dense,
+    apply_stacks,
     separable,
 )
 
@@ -254,12 +254,42 @@ def fp4d_operator(domain: Domain) -> SeparableOperator:
     return separable(terms)
 
 
+def fp4d_stacks(domain: Domain) -> tuple[tuple[int, int, np.ndarray], ...]:
+    """The reference's generator, written from the PDE rather than taken
+    from fp4d_operator: four read-only stacks (j, k, B) for `apply_stacks`.
+    Axis j's drift and diffusion have coefficients along k = j+1 mod 4, so
+    B[i] = c_drift[i] (-alpha d1) + c_diff[i] (beta d2), i < n_k.  Axis 0's
+    drift -alpha d/dx0 (sin x0 p) splits into -alpha cos x0, which joins
+    (3, 0) as c[i] I, and -alpha sin x0 d1, which joins (0, 1).  The stack
+    batched over the last axis needs a copy of p, so it goes last."""
+    alpha, beta, k = FP4D_ALPHA, FP4D_BETA, FP4D_K
+    d1 = [g.diff1 for g in domain.axes]
+    d2 = [g.diff2 for g in domain.axes]
+    sin = [np.sin(g.nodes)[:, None, None] for g in domain.axes]
+    gsq = [(1.0 + k * np.sin(g.nodes))[:, None, None] for g in domain.axes]
+    g0 = domain.axes[0]
+    b30 = -alpha * sin[0] * d1[3] + gsq[0] * (beta * d2[3])
+    b30 += -alpha * np.cos(g0.nodes)[:, None, None] * np.eye(g0.n)
+    b01 = gsq[1] * (beta * d2[0])
+    b01 += -alpha * np.diag(np.sin(g0.nodes)) @ d1[0]
+    stacks = (
+        (1, 2, sin[2] * (-alpha * d1[1]) + gsq[2] * (beta * d2[1])),
+        (3, 0, b30),
+        (0, 1, b01),
+        (2, 3, sin[3] * (-alpha * d1[2]) + gsq[3] * (beta * d2[2])),
+    )
+    for _, _, b in stacks:
+        b.flags.writeable = False
+    return stacks
+
+
 def fp4d(n: int = 21, reference_dt: float = 1e-3) -> ProblemSpec:
     """dp/dt = L p on the 4-torus with sinusoidal drift and g^2 = 1 + k sin
     diffusion coefficients; the initial profile is a rank-1 product of sines
     normalized by its L1 norm (integral of |sin| is 4 per axis, so 256)."""
     _check_memory(n**4, 7)
     dom = torus_domain(4, n)
+    stacks = fp4d_stacks(dom)
     op = fp4d_operator(dom)
     s1, s2, s3, s4 = np.ix_(*[np.sin(g.nodes) for g in dom.axes])
     dense_ic = s1 * s2 * s3 * s4 / 256.0
@@ -267,7 +297,7 @@ def fp4d(n: int = 21, reference_dt: float = 1e-3) -> ProblemSpec:
     rhs = RhsEvaluator(domain=dom, op=op)
 
     def rhs_dense(p):
-        return apply_separable_dense(op, p)
+        return apply_stacks(stacks, p)
 
     reference = DenseRk4Reference(rhs_dense, dense_ic, dt_ref=reference_dt)
     params = {"alpha": FP4D_ALPHA, "beta": FP4D_BETA, "k": FP4D_K}

@@ -30,6 +30,8 @@ from fttpde.runner import parse_config, run_experiment
 
 from conftest import random_ftt, weighted_dense_norm
 
+pytestmark = pytest.mark.acceptance
+
 
 def report(criterion: int, ok: bool, detail: str, elapsed: float, budget_s: float):
     status = "PASS" if ok and elapsed < budget_s else "FAIL"

@@ -23,7 +23,7 @@ from fttpde.ftt import (
     zero_pad,
 )
 from fttpde.grids import ShapeError, torus_domain
-from fttpde.integrators import AdaptiveState, IntegratorConfig, adaptive_step
+from fttpde.integrators import AdaptiveState, IntegratorConfig, adaptive_step, lie_trotter_step
 from fttpde.operators import apply_separable, eval_rhs, separable
 from fttpde.problems import advection2d, fp4d
 
@@ -208,6 +208,14 @@ def test_orthogonalize_pivot_out_of_range(dom2, rng):
         orthogonalize(u, "left", 0)
     with pytest.raises(ValueError):
         orthogonalize(u, "left", 3)
+
+
+def test_unknown_orthogonalization_side(dom2, rng):
+    u = random_ftt(dom2, (1, 2, 1), rng)
+    with pytest.raises(ValueError, match="direction"):
+        orthogonalize(u, "up", 1)
+    with pytest.raises(ValueError, match="side"):
+        qr_core(u.cores[0], dom2.axes[0].weights, "up")
 
 
 def test_cores_come_out_in_c_order(dom3, rng):
@@ -519,6 +527,9 @@ def test_add_domain_mismatch(rng):
     b = random_ftt(torus_domain(2, 11), (1, 2, 1), rng)
     with pytest.raises(DomainMismatchError):
         add(a, b)
+    # the splitting sweep checks its increment the same way
+    with pytest.raises(DomainMismatchError):
+        lie_trotter_step(a, b)
 
 
 def test_hadamard_with_ones(dom3, rng):
@@ -636,6 +647,8 @@ def test_core_chain_validation(dom2):
         FttTensor([np.zeros((1, 17, 2)), np.zeros((2, 17, 2))], dom2)
     with pytest.raises(ShapeError):
         FttTensor([np.zeros((1, 17, 1))], dom2)
+    with pytest.raises(ShapeError, match="order-3"):
+        FttTensor([np.zeros((1, 17)), np.zeros((2, 17, 1))], dom2)
 
 
 # ---------------------------------------------------------------------------

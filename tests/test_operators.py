@@ -8,10 +8,11 @@ from fttpde.operators import (
     RhsEvaluator,
     apply_separable,
     apply_separable_dense,
+    apply_stacks,
     eval_rhs,
     separable,
 )
-from fttpde.problems import advection2d, fp4d, kse2d
+from fttpde.problems import advection2d, fp4d, fp4d_operator, fp4d_stacks, kse2d
 
 from conftest import advection2d_rhs_dense, kron_matrix, random_ftt, weighted_dense_norm
 
@@ -87,32 +88,32 @@ def mixed_op(dom, rng):
 
 
 def stacked_terms(dom, rng):
-    """4D terms covering every way a term enters `dense_plan`, with the
-    (j, k) stack, or None for the factor loop, that each should land in."""
+    """4D terms mixing dense (a), diagonal (c) and identity factors: a dense
+    and a diagonal factor on every kind of axis pair, single factors, two
+    dense or two diagonal factors, and all identities."""
     c = lambda axis: np.diag(rng.standard_normal(dom.shape[axis]))  # noqa: E731
     a = lambda axis: rng.standard_normal((dom.shape[axis],) * 2)  # noqa: E731
     _ = None
     return [
-        ((a(0), c(1), _, _), (0, 1)),  # merged view, batch axis after j
-        ((a(0), c(1), _, _), (0, 1)),  # same (j, k)
-        ((_, a(1), c(2), _), (1, 2)),  # axes before and after: broadcast batch
-        ((c(0), _, _, a(3)), (3, 0)),  # j last: product from the right
-        ((_, c(1), _, a(3)), (3, 1)),  # j last, other axes not adjacent
-        ((_, _, a(2), c(3)), (2, 3)),  # batch axis last: one copy
-        ((_, _, c(2), a(3)), (3, 2)),
-        ((a(0), _, _, _), (0, 1)),  # dense factor alone, as A on axis j
-        ((_, c(1), _, _), (0, 1)),  # diagonal alone, as c on axis k
-        ((_, _, _, c(3)), (3, 0)),  # diagonal alone, as diag(c) on axis j
-        ((_, a(1), _, _), (1, 2)),
-        ((a(0), a(1), _, _), None),  # two dense factors
-        ((_, c(1), c(2), _), None),  # two diagonals
-        ((a(0), c(1), c(2), _), None),
-        ((_, _, _, _), None),
+        (a(0), c(1), _, _),
+        (a(0), c(1), _, _),
+        (_, a(1), c(2), _),
+        (c(0), _, _, a(3)),
+        (_, c(1), _, a(3)),
+        (_, _, a(2), c(3)),
+        (_, _, c(2), a(3)),
+        (a(0), _, _, _),
+        (_, c(1), _, _),
+        (_, _, _, c(3)),
+        (a(0), a(1), _, _),
+        (_, c(1), c(2), _),
+        (a(0), c(1), c(2), _),
+        (_, _, _, _),
     ]
 
 
 def stacked_op(dom, rng):
-    return separable([term for term, _ in stacked_terms(dom, rng)])
+    return separable(stacked_terms(dom, rng))
 
 
 @pytest.mark.parametrize(
@@ -133,34 +134,6 @@ def test_apply_separable_dense_matches_kronecker_matrix(sizes, build, rng):
     assert np.array_equal(values, before)
 
 
-def test_dense_plan_built_once_and_read_only(rng):
-    dom = uneven_domain(3, 4, 5, 6)
-    listed = stacked_terms(dom, rng)
-    op = separable([term for term, _ in listed])
-    plan = op.dense_plan
-    assert op.dense_plan is plan
-    stacks, loose = plan
-    # stacks batched over the last axis come last
-    assert [(j, k) for j, k, _ in stacks] == [(0, 1), (1, 2), (3, 0), (3, 1), (3, 2), (2, 3)]
-    assert len(loose) == sum(key is None for _, key in listed)
-
-    def factor(term, axis):
-        return np.eye(dom.shape[axis]) if term[axis] is None else term[axis]
-
-    for j, k, b in stacks:
-        assert b.shape == (dom.shape[k], dom.shape[j], dom.shape[j])
-        assert not b.flags.writeable
-        # B[i] = sum over its terms of (factor on k)[i, i] * (factor on j)
-        expected = sum(
-            np.diagonal(factor(term, k))[:, None, None] * factor(term, j)
-            for term, key in listed
-            if key == (j, k)
-        )
-        assert np.allclose(b, expected, rtol=0, atol=1e-14)
-        with pytest.raises(ValueError):
-            b[0, 0, 0] = 1.0
-
-
 def test_apply_separable_dense_identity_term_is_a_copy(dom2, rng):
     values = rng.standard_normal(dom2.shape)
     values.flags.writeable = False
@@ -174,30 +147,69 @@ def test_apply_separable_dense_rejects_wrong_dimension(dom2, dom3, rng):
         apply_separable_dense(identity_op(dom2), rng.standard_normal(dom3.shape))
 
 
-def test_dense_plan_classifies_factors_once_and_read_only(dom2):
-    g1, g2 = dom2.axes
-    sin = np.diag(np.sin(g1.nodes))
-    cos = np.diag(np.cos(g2.nodes))
-    d1 = g2.diff1.copy()
-    op = separable([(sin, d1), (None, np.zeros((g2.n, g2.n))), (sin, cos)])
-    plan = op.dense_plan
-    assert op.dense_plan is plan
-    stacks, loose = plan
-    # a diagonal times a dense factor is a stack; the all-zero matrix counts
-    # as a diagonal and joins it as diag(0) on the stack's axis
-    ((j, k, b),) = stacks
-    assert (j, k) == (1, 0) and b.shape == (g1.n, g2.n, g2.n)
-    assert np.array_equal(b, np.sin(g1.nodes)[:, None, None] * d1)
-    # two diagonals stay a loose term, each shaped to broadcast along its axis
-    (term,) = loose
-    assert [(axis, is_diag, arr.shape) for axis, is_diag, arr in term] == [
-        (0, True, (g1.n, 1)),
-        (1, True, (1, g2.n)),
-    ]
-    for arr in [b] + [arr for _, _, arr in term]:
-        assert not arr.flags.writeable
-    # the operator's own matrices stay as they were
-    assert sin.flags.writeable and d1.flags.writeable
+def test_separable_needs_a_term():
+    with pytest.raises(ValueError, match="at least one term"):
+        separable([])
+
+
+# (j, k) of every way a stack meets the memory layout of a 4D array
+STACK_AXES = [
+    (0, 1),  # merged view, batch axis after j
+    (1, 2),  # axes before and after: broadcast batch
+    (3, 0),  # j last: product from the right
+    (3, 1),  # j last, other axes not adjacent
+    (2, 3),  # batch axis last: one copy
+    (3, 2),
+]
+
+
+@pytest.mark.parametrize("first", [(0, 1), (2, 3)], ids=["view_first", "copy_first"])
+def test_apply_stacks_matches_oracle_and_writes_no_input(first, rng):
+    dom = uneven_domain(3, 4, 5, 6)
+    n = dom.shape
+    stacks = []
+    for j, k in sorted(STACK_AXES, key=lambda jk: jk != first):
+        b = rng.standard_normal((n[k], n[j], n[j]))
+        b.flags.writeable = False
+        stacks.append((j, k, b))
+    # stack (j, k, B) as separable terms: B[i] on axis j, the i-th unit
+    # diagonal on axis k
+    terms = []
+    for j, k, b in stacks:
+        for i in range(n[k]):
+            term = [None] * 4
+            term[j], term[k] = b[i], np.diag(np.eye(n[k])[i])
+            terms.append(term)
+    values = rng.standard_normal(n)
+    values.flags.writeable = False
+    before = [values.copy()] + [b.copy() for _, _, b in stacks]
+    out = apply_stacks(stacks, values)
+    oracle = apply_separable_dense(separable(terms), values)
+    assert np.linalg.norm(out - oracle) <= 1e-13 * np.linalg.norm(oracle)
+    assert not np.shares_memory(out, values)
+    for arr, kept in zip([values] + [b for _, _, b in stacks], before):
+        assert np.array_equal(arr, kept)
+    assert not apply_stacks([], values).any()
+
+
+def test_fp4d_stacks_are_read_only():
+    dom = torus_domain(4, 9)
+    stacks = fp4d_stacks(dom)
+    assert [(j, k) for j, k, _ in stacks] == [(1, 2), (3, 0), (0, 1), (2, 3)]
+    for _, _, b in stacks:
+        assert b.shape == (9, 9, 9) and not b.flags.writeable
+        with pytest.raises(ValueError):
+            b[0, 0, 0] = 1.0
+
+
+@pytest.mark.parametrize("n", [9, 21])
+def test_fp4d_reference_rhs_matches_operator_oracle(n, rng):
+    # the reference states its own stacks; the operator is the FTT path's
+    prob = fp4d(n=n)
+    values = rng.standard_normal(prob.domain.shape)
+    out = prob.reference.rhs_dense(values)
+    oracle = apply_separable_dense(fp4d_operator(prob.domain), values)
+    assert np.linalg.norm(out - oracle) <= 1e-14 * np.linalg.norm(oracle)
 
 
 def tt_matrix_ranks(op, shape):

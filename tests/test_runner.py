@@ -60,6 +60,12 @@ def test_parse_bad_value_names_key(tmp_path):
         parse_config(path)
 
 
+def test_parse_line_without_equals(tmp_path):
+    path = write_cfg(tmp_path, "problem = advection2d\ndt 1e-3\n")
+    with pytest.raises(ConfigError, match="line 2: expected 'key = value'"):
+        parse_config(path)
+
+
 def test_parse_empty_file_lists_required(tmp_path):
     path = write_cfg(tmp_path, "# nothing here\n")
     with pytest.raises(ConfigError) as err:
