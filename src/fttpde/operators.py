@@ -113,61 +113,6 @@ def apply_separable_dense(op: SeparableOperator, values: np.ndarray) -> np.ndarr
     return out
 
 
-def apply_stacks(stacks: Sequence[tuple[int, int, np.ndarray]], values: np.ndarray) -> np.ndarray:
-    """Sum of batched products, one `np.matmul` per stack (j, k, B) with B
-    of shape (n_k, n_j, n_j): the stack maps values to
-    sum_y B[x_k][x_j, y] values[..., y, ...], y on axis j.  The first stack
-    is written straight into the output, the others through one work array
-    and added in place, so stacks batched over the last axis, which need a
-    copy of `values`, go best after the first.  Never writes into the
-    stacks or into `values`; used by dense reference solvers."""
-    d = values.ndim
-    out = np.empty(values.shape) if stacks else np.zeros(values.shape)
-    work = np.empty(values.shape)
-    for s, (j, k, b) in enumerate(stacks):
-        if k < d - 1:
-            piece = out if s == 0 else work
-            _stack_product(b, j, k, values, piece)
-        else:
-            # no view batches over the unit-stride axis: one copy brings it,
-            # and axis j, to the front
-            moved = np.ascontiguousarray(np.moveaxis(values, (k, j), (0, 1)))
-            res = work.reshape(moved.shape)
-            _stack_product(b, 1, 0, moved, res)
-            piece = np.moveaxis(res, (0, 1), (k, j))
-        if s > 0:
-            np.add(out, piece, out=out)
-        elif piece is not out:
-            np.copyto(out, piece)
-    return out
-
-
-def _stack_product(b: np.ndarray, j: int, k: int, values: np.ndarray, out: np.ndarray) -> None:
-    """Write sum_y b[x_k][x_j, y] values[..., y, ...], y on axis j, into out
-    as one np.matmul on views, batched over axis k (not the last axis).  b
-    multiplies axis j from the left, or from the right as b^T when j is the
-    last axis.  The other axes merge into one matrix dimension when they are
-    adjacent in memory; otherwise they become more batch axes, over which b
-    broadcasts."""
-    right = j == values.ndim - 1
-    if right:
-        b = b.transpose(0, 2, 1)
-        src, dst, merged = (k,), (0,), (b.shape[0], -1, b.shape[1])
-    else:
-        src, dst, merged = (k, j), (0, 1), b.shape[:2] + (-1,)
-    x, y = np.moveaxis(values, src, dst), np.moveaxis(out, src, dst)
-    try:
-        x, y = x.reshape(merged, copy=False), y.reshape(merged, copy=False)
-    except ValueError:
-        if not right:  # axis j next to the last axis, whose stride is one
-            x, y = np.moveaxis(x, 1, -2), np.moveaxis(y, 1, -2)
-        b = b.reshape(b.shape[:1] + (1,) * (x.ndim - 3) + b.shape[1:])
-    if right:
-        np.matmul(x, b, out=y)
-    else:
-        np.matmul(b, x, out=y)
-
-
 @dataclass(frozen=True)
 class RhsEvaluator:
     """Evaluator for du/dt = G(u) returning tensor trains.

@@ -14,13 +14,7 @@ import numpy as np
 from .ftt import FttTensor, add, from_full, hadamard, scale
 from .grids import Domain, GridError, ShapeError, torus_domain
 from .integrators import rk4_dense_step
-from .operators import (
-    RhsEvaluator,
-    SeparableOperator,
-    apply_separable,
-    apply_stacks,
-    separable,
-)
+from .operators import RhsEvaluator, SeparableOperator, apply_separable, separable
 
 
 @dataclass
@@ -87,7 +81,7 @@ def _check_memory(size: int, arrays: int) -> None:
     physical memory, checked before a builder forms any dense array.  Each
     builder passes the peak that tracemalloc shows over its build, three
     adaptive steps and reference steps: 36 n x n arrays for the 2-D
-    problems (28-35 measured at n = 301), 7 n^4 arrays for fp4d (6.5 at
+    problems (28-35 measured at n = 301), 8 n^4 arrays for fp4d (6.98 at
     n = 21).  Skipped where os.sysconf cannot read the memory size."""
     if "SC_PHYS_PAGES" not in getattr(os, "sysconf_names", {}):
         return
@@ -254,42 +248,69 @@ def fp4d_operator(domain: Domain) -> SeparableOperator:
     return separable(terms)
 
 
-def fp4d_stacks(domain: Domain) -> tuple[tuple[int, int, np.ndarray], ...]:
+def fp4d_stacks(domain: Domain) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     """The reference's generator, written from the PDE rather than taken
-    from fp4d_operator: four read-only stacks (j, k, B) for `apply_stacks`.
-    Axis j's drift and diffusion have coefficients along k = j+1 mod 4, so
-    B[i] = c_drift[i] (-alpha d1) + c_diff[i] (beta d2), i < n_k.  Axis 0's
-    drift -alpha d/dx0 (sin x0 p) splits into -alpha cos x0, which joins
-    (3, 0) as c[i] I, and -alpha sin x0 d1, which joins (0, 1).  The stack
-    batched over the last axis needs a copy of p, so it goes last."""
+    from fp4d_operator: axis j's drift and diffusion have coefficients
+    along k = j+1 mod 4, so the stack (j, k) is B[i] = c_drift[i] (-alpha d1)
+    + c_diff[i] (beta d2) on axis j, i < n_k.  Axis 0's drift -alpha d/dx0
+    (sin x0 p) splits into -alpha cos x0, which joins (3, 0) as c[i] I, and
+    -alpha sin x0 d1, which joins (0, 1).  Returns the read-only pairs
+    (B(0,1), B(3,0)^T) and (B(2,3), B(1,2)^T), each B[i] transposed on the
+    right, for `apply_fp4d_stacks`."""
     alpha, beta, k = FP4D_ALPHA, FP4D_BETA, FP4D_K
     d1 = [g.diff1 for g in domain.axes]
     d2 = [g.diff2 for g in domain.axes]
     sin = [np.sin(g.nodes)[:, None, None] for g in domain.axes]
     gsq = [(1.0 + k * np.sin(g.nodes))[:, None, None] for g in domain.axes]
     g0 = domain.axes[0]
+    b12 = sin[2] * (-alpha * d1[1]) + gsq[2] * (beta * d2[1])
     b30 = -alpha * sin[0] * d1[3] + gsq[0] * (beta * d2[3])
     b30 += -alpha * np.cos(g0.nodes)[:, None, None] * np.eye(g0.n)
     b01 = gsq[1] * (beta * d2[0])
     b01 += -alpha * np.diag(np.sin(g0.nodes)) @ d1[0]
-    stacks = (
-        (1, 2, sin[2] * (-alpha * d1[1]) + gsq[2] * (beta * d2[1])),
-        (3, 0, b30),
-        (0, 1, b01),
-        (2, 3, sin[3] * (-alpha * d1[2]) + gsq[3] * (beta * d2[2])),
-    )
-    for _, _, b in stacks:
+    b23 = sin[3] * (-alpha * d1[2]) + gsq[3] * (beta * d2[2])
+    pairs = ((b01, b30.transpose(0, 2, 1).copy()), (b23, b12.transpose(0, 2, 1).copy()))
+    for b in pairs[0] + pairs[1]:
         b.flags.writeable = False
-    return stacks
+    return pairs
+
+
+def apply_fp4d_stacks(pairs, p: np.ndarray) -> np.ndarray:
+    """fp4d's generator applied to a dense p.  Shifting p's axes cyclically
+    by two, which transposes its (x0 x1) x (x2 x3) unfolding, maps the
+    stacks (0, 1) and (3, 0) to (2, 3) and (1, 2), so `_two_products`
+    applies pairs[0] to p and pairs[1] to the shifted copy q.  Allocates
+    three arrays of p's size and returns one; never writes p or the stacks."""
+    n01 = p.shape[0] * p.shape[1]
+    out, q_half, work = np.empty(p.shape), np.empty(p.shape), np.empty(p.shape)
+    # out holds q until the p half overwrites it
+    np.copyto(out.reshape(-1, n01), p.reshape(n01, -1).T)
+    _two_products(pairs[1], out.reshape(p.shape[2:] + p.shape[:2]), q_half, work)
+    _two_products(pairs[0], p, out, work)
+    flat = out.reshape(n01, -1)
+    np.add(flat, q_half.reshape(-1, n01).T, out=flat)
+    return out
+
+
+def _two_products(pair, x: np.ndarray, out: np.ndarray, work: np.ndarray) -> None:
+    """Write sum_y L[b][a, y] x[y, b, c, d] + sum_y x[a, b, c, y] R[a][y, d]
+    into out, for x of axes (a, b, c, d) and the pair (L, R): one np.matmul
+    batched over b, one batched over a.  out and work are C-contiguous."""
+    left, right = pair
+    na, nb, nd = x.shape[0], x.shape[1], x.shape[-1]
+    np.matmul(left, x.reshape(na, nb, -1).transpose(1, 0, 2),
+              out=out.reshape(na, nb, -1).transpose(1, 0, 2))
+    np.matmul(x.reshape(na, -1, nd), right, out=work.reshape(na, -1, nd))
+    np.add(out, work, out=out)
 
 
 def fp4d(n: int = 21, reference_dt: float = 1e-3) -> ProblemSpec:
     """dp/dt = L p on the 4-torus with sinusoidal drift and g^2 = 1 + k sin
     diffusion coefficients; the initial profile is a rank-1 product of sines
     normalized by its L1 norm (integral of |sin| is 4 per axis, so 256)."""
-    _check_memory(n**4, 7)
+    _check_memory(n**4, 8)
     dom = torus_domain(4, n)
-    stacks = fp4d_stacks(dom)
+    pairs = fp4d_stacks(dom)
     op = fp4d_operator(dom)
     s1, s2, s3, s4 = np.ix_(*[np.sin(g.nodes) for g in dom.axes])
     dense_ic = s1 * s2 * s3 * s4 / 256.0
@@ -297,7 +318,7 @@ def fp4d(n: int = 21, reference_dt: float = 1e-3) -> ProblemSpec:
     rhs = RhsEvaluator(domain=dom, op=op)
 
     def rhs_dense(p):
-        return apply_stacks(stacks, p)
+        return apply_fp4d_stacks(pairs, p)
 
     reference = DenseRk4Reference(rhs_dense, dense_ic, dt_ref=reference_dt)
     params = {"alpha": FP4D_ALPHA, "beta": FP4D_BETA, "k": FP4D_K}

@@ -319,7 +319,8 @@ def eight_gib(monkeypatch):
 @pytest.mark.parametrize(
     "builder, too_large, fits",
     # kse2d at n = 12,000: six n x n arrays are 6.4 GiB, but a run holds ~36;
-    # fp4d at n = 115: six n^4 arrays are 7.8 GiB, the measured seven 9.1
+    # fp4d at n = 115: six n^4 arrays are 7.8 GiB, but a run holds ~7 (10.4
+    # GiB at the guard's eight); at n = 90 eight are 3.9 GiB
     [(kse2d, 12_000, 5_000), (advection2d, 12_000, 5_000), (fp4d, 115, 90)],
 )
 def test_grid_guard_counts_what_a_run_holds(eight_gib, builder, too_large, fits):
