@@ -17,7 +17,6 @@ from .ftt import (
     zero_pad,
 )
 from .operators import (
-    RhsEvaluator,
     SeparableOperator,
     apply_separable,
     apply_separable_dense,
@@ -32,7 +31,6 @@ from .integrators import (
     lie_trotter_step,
     normal_component,
     rk4_dense_step,
-    step_truncation_step,
 )
 from .problems import (
     ProblemSpec,

@@ -1,5 +1,5 @@
-"""Time stepping: projector-splitting sweep, step-truncation, BDF normal
-estimation and the adaptive rank controller."""
+"""Time stepping: projector-splitting sweep, BDF normal estimation and the
+adaptive rank controller."""
 
 from __future__ import annotations
 
@@ -22,7 +22,7 @@ from .ftt import (
     truncate,
     zero_pad,
 )
-from .operators import RhsEvaluator, eval_rhs
+from .operators import Rhs, eval_rhs
 
 logger = logging.getLogger(__name__)
 
@@ -143,16 +143,6 @@ def lie_trotter_step(u: FttTensor, delta_u: FttTensor) -> FttTensor:
 
 
 # ---------------------------------------------------------------------------
-# step-truncation
-
-def step_truncation_step(u: FttTensor, delta_u: FttTensor, tol: float, max_ranks=None) -> FttTensor:
-    """Full-space step u + delta_u rounded back to low rank at relative
-    tolerance tol, with interface ranks capped by max_ranks (length d+1)."""
-    out, _ = truncate(add(u, delta_u), tol, max_ranks)
-    return out
-
-
-# ---------------------------------------------------------------------------
 # normal-component estimation
 
 def bdf_tangent_estimate(history, p: int, dt: float, ranks=None) -> FttTensor:
@@ -192,7 +182,7 @@ def _interior_rank_sum(u: FttTensor) -> int:
 # ---------------------------------------------------------------------------
 # adaptive controller
 
-def adaptive_step(state: AdaptiveState, rhs: RhsEvaluator, config: IntegratorConfig) -> AdaptiveState:
+def adaptive_step(state: AdaptiveState, rhs: Rhs, config: IntegratorConfig) -> AdaptiveState:
     """Advance one step: estimate the normal component, grow rank when it
     exceeds eps_inc, take a projector-splitting step, and shrink rank
     every dec_period steps.  The time of each phase is added to

@@ -1,8 +1,8 @@
-"""Right-hand-side evaluators: separable linear operators and composite forms."""
+"""Right-hand sides: separable linear operators and composite forms."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -20,36 +20,37 @@ G_TOL = 1e-10  # relative tolerance at which eval_rhs rounds every G, once
 
 @dataclass(frozen=True)
 class SeparableOperator:
-    """Sum of tensor products of one-dimensional operators.
+    """Sum of tensor products of one-dimensional operators on one domain.
 
     terms[i][j] is the n_j x n_j matrix acting on axis j in the i-th term;
     None stands for the identity.  Variable coefficients enter as diagonal
-    matrices on the grid.  The tensor-train path applies the operator as a
-    compressed TT-matrix, built on first use for each grid shape and cached
-    on the operator; the cached cores are read-only.
+    matrices on the grid.  cores is the operator as a compressed, read-only
+    TT-matrix, cores of shape (R_{k-1}, n_k, n_k, R_k) with boundary ranks
+    1; `separable` builds it once, with the operator.
     """
 
+    domain: Domain
     terms: tuple[tuple[np.ndarray | None, ...], ...]
-    _tt_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if len(self.terms) < 1:
-            raise ValueError("separable operator needs at least one term")
-
-    def tt_matrix(self, shape: tuple[int, ...]) -> tuple[np.ndarray, ...]:
-        """TT-matrix cores of shape (R_{k-1}, n_k, n_k, R_k) on a grid of
-        the given shape, with boundary ranks 1; built once per shape.
-        Raises ShapeError if a term does not fit the shape."""
-        cores = self._tt_cache.get(shape)
-        if cores is None:
-            _check_operator_shapes(self, shape)
-            cores = _build_tt_matrix(self.terms, shape)
-            self._tt_cache[shape] = cores
-        return cores
+    cores: tuple[np.ndarray, ...]
 
 
-def separable(terms: Sequence[Sequence[np.ndarray | None]]) -> SeparableOperator:
-    return SeparableOperator(terms=tuple(tuple(term) for term in terms))
+# du/dt = G(u): a SeparableOperator A, for G(u) = A u, or u -> unrounded G(u)
+Rhs = SeparableOperator | Callable[[FttTensor], FttTensor]
+
+
+def separable(terms: Sequence[Sequence[np.ndarray | None]], domain: Domain) -> SeparableOperator:
+    """The operator with these terms on the domain, its TT-matrix built
+    here.  Raises ValueError without a term and ShapeError if a term does
+    not fit the domain's shape."""
+    terms = tuple(tuple(term) for term in terms)
+    if not terms:
+        raise ValueError("separable operator needs at least one term")
+    want = [(n, n) for n in domain.shape]
+    for i, term in enumerate(terms):
+        got = [None if mat is None else mat.shape for mat in term]
+        if len(got) != len(want) or any(g not in (None, w) for g, w in zip(got, want)):
+            raise ShapeError(f"term {i} has factor shapes {got}, the grid is {domain.shape}")
+    return SeparableOperator(domain, terms, _build_tt_matrix(terms, domain.shape))
 
 
 def _build_tt_matrix(terms, shape: tuple[int, ...]) -> tuple[np.ndarray, ...]:
@@ -82,27 +83,20 @@ def _build_tt_matrix(terms, shape: tuple[int, ...]) -> tuple[np.ndarray, ...]:
     return out
 
 
-def _check_operator_shapes(op: SeparableOperator, shape: tuple[int, ...]) -> None:
-    for i, term in enumerate(op.terms):
-        if len(term) != len(shape):
-            raise ShapeError(f"term {i} has {len(term)} factors, grid has {len(shape)} axes")
-        for j, (mat, n) in enumerate(zip(term, shape)):
-            if mat is not None and mat.shape != (n, n):
-                raise ShapeError(f"term {i} factor {j} is {mat.shape}, expected {(n, n)}")
-
-
 def apply_separable(op: SeparableOperator, u: FttTensor) -> FttTensor:
     """Apply the operator in tensor-train form, core by core through its
     compressed TT-matrix; interface ranks grow by the TT-matrix ranks."""
-    return apply_tt_matrix(op.tt_matrix(u.domain.shape), u)
+    if not op.domain.matches(u.domain):
+        raise ShapeError("tensor does not live on the operator's domain")
+    return apply_tt_matrix(op.cores, u)
 
 
 def apply_separable_dense(op: SeparableOperator, values: np.ndarray) -> np.ndarray:
     """Dense oracle against the tensor-train path: the sum over the terms of
     one `np.tensordot` per non-identity factor.  Never forms the full
     Kronecker matrix and never writes into `values`."""
-    if any(len(term) != values.ndim for term in op.terms):
-        raise ShapeError(f"operator terms do not all have {values.ndim} factors")
+    if values.shape != op.domain.shape:
+        raise ShapeError(f"values of shape {values.shape}, operator on {op.domain.shape}")
     out = np.zeros(values.shape)
     for term in op.terms:
         piece = values
@@ -113,32 +107,19 @@ def apply_separable_dense(op: SeparableOperator, values: np.ndarray) -> np.ndarr
     return out
 
 
-@dataclass(frozen=True)
-class RhsEvaluator:
-    """Evaluator for du/dt = G(u) returning tensor trains.
-
-    `op` is a SeparableOperator A, for G(u) = A u, or a function from a
-    tensor train to the unrounded G(u), built from tensor-train arithmetic.
-    eval_rhs rounds G once, at relative tolerance G_TOL.
-    """
-
-    domain: Domain
-    op: SeparableOperator | Callable[[FttTensor], FttTensor]
-
-
-def eval_rhs(rhs: RhsEvaluator, u: FttTensor, ranks=None) -> FttTensor:
+def eval_rhs(rhs: Rhs, u: FttTensor, ranks=None) -> FttTensor:
     """Evaluate G(u) as a tensor train truncated to G_TOL relative error.
 
     A SeparableOperator's G = A u goes to `sketch_truncate` through the
     operator's TT-matrix and u, with ranks (length d+1, or None for no
     hint) hinting at the rounded ranks, e.g. those of the last evaluation
     along the same trajectory; the kernel falls back to `truncate` of the
-    formed A u without a hint.  Any other G goes to `truncate`.
+    formed A u without a hint.  Any other G = rhs(u) goes to `truncate`.
     """
-    if not rhs.domain.matches(u.domain):
-        raise ShapeError("tensor does not live on the evaluator's domain")
-    if isinstance(rhs.op, SeparableOperator):
-        out, _ = sketch_truncate(u, G_TOL, ranks, rhs.op.tt_matrix(u.domain.shape))
+    if isinstance(rhs, SeparableOperator):
+        if not rhs.domain.matches(u.domain):
+            raise ShapeError("tensor does not live on the operator's domain")
+        out, _ = sketch_truncate(u, G_TOL, ranks, rhs.cores)
     else:
-        out, _ = truncate(rhs.op(u), G_TOL)
+        out, _ = truncate(rhs(u), G_TOL)
     return out

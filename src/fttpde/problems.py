@@ -14,14 +14,14 @@ import numpy as np
 from .ftt import FttTensor, add, from_full, hadamard, scale
 from .grids import Domain, GridError, ShapeError, torus_domain
 from .integrators import rk4_dense_step
-from .operators import RhsEvaluator, SeparableOperator, apply_separable, separable
+from .operators import Rhs, SeparableOperator, apply_separable, separable
 
 
 @dataclass
 class ProblemSpec:
     name: str
     domain: Domain
-    rhs: RhsEvaluator
+    rhs: Rhs
     initial: FttTensor
     reference: "DenseRk4Reference"
     params: dict = field(default_factory=dict)
@@ -153,15 +153,15 @@ def advection2d(n: int = 81, reference_dt: float = 1e-3) -> ProblemSpec:
             (sin1 @ d1a, None),
             (d1a, cos2),
             (None, cos2 @ d1b),
-        ]
+        ],
+        dom,
     )
     x1, x2 = np.meshgrid(g1.nodes, g2.nodes, indexing="ij")
     initial = from_full(_advection_ic(x1, x2), dom, 0.0, max_ranks=(1, 15, 1))
-    rhs = RhsEvaluator(domain=dom, op=op)
     reference = CharacteristicsReference(
         dom, _advection_velocity, _advection_ic, ode_dt=reference_dt
     )
-    return ProblemSpec("advection2d", dom, rhs, initial, reference)
+    return ProblemSpec("advection2d", dom, op, initial, reference)
 
 
 # ---------------------------------------------------------------------------
@@ -181,14 +181,15 @@ def kse2d(n: int = 33, reference_dt: float = 1e-5) -> ProblemSpec:
     g1, g2 = dom.axes
     d1, d2, d4 = g1.diff1, g1.diff2, g1.diff4
 
-    op_dx = separable([(d1, None)])
-    op_dy = separable([(None, d1)])
+    op_dx = separable([(d1, None)], dom)
+    op_dy = separable([(None, d1)], dom)
     op_lin = separable(
         [
             (-d2 - nu1 * d4, None),
             (None, -nu * d2 - nu1 * nu**2 * d4),
             (-2.0 * nu1 * nu * d2, d2),
-        ]
+        ],
+        dom,
     )
 
     def composite(u: FttTensor) -> FttTensor:
@@ -212,10 +213,9 @@ def kse2d(n: int = 33, reference_dt: float = 1e-5) -> ProblemSpec:
         uy = u @ d1.T
         return -0.5 * (ux**2 + nu**2 * uy**2) + ax @ u + u @ ay.T + axy @ u @ d2.T
 
-    rhs = RhsEvaluator(domain=dom, op=composite)
     reference = DenseRk4Reference(rhs_dense, ic, dt_ref=reference_dt)
     return ProblemSpec(
-        "kse2d", dom, rhs, initial, reference, params={"nu1": nu1, "nu2": KSE_NU2, "nu": nu}
+        "kse2d", dom, composite, initial, reference, params={"nu1": nu1, "nu2": KSE_NU2, "nu": nu}
     )
 
 
@@ -245,7 +245,7 @@ def fp4d_operator(domain: Domain) -> SeparableOperator:
         (None, None, beta * d2[2], gsq[3]),
         (gsq[0], None, None, beta * d2[3]),
     ]
-    return separable(terms)
+    return separable(terms, domain)
 
 
 def fp4d_stacks(domain: Domain) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
@@ -315,14 +315,13 @@ def fp4d(n: int = 21, reference_dt: float = 1e-3) -> ProblemSpec:
     s1, s2, s3, s4 = np.ix_(*[np.sin(g.nodes) for g in dom.axes])
     dense_ic = s1 * s2 * s3 * s4 / 256.0
     initial = from_full(dense_ic, dom, 1e-12)
-    rhs = RhsEvaluator(domain=dom, op=op)
 
     def rhs_dense(p):
         return apply_fp4d_stacks(pairs, p)
 
     reference = DenseRk4Reference(rhs_dense, dense_ic, dt_ref=reference_dt)
     params = {"alpha": FP4D_ALPHA, "beta": FP4D_BETA, "k": FP4D_K}
-    return ProblemSpec("fp4d", dom, rhs, initial, reference, params=params)
+    return ProblemSpec("fp4d", dom, op, initial, reference, params=params)
 
 
 PROBLEM_BUILDERS = {

@@ -236,6 +236,15 @@ def run_experiment(config: RunConfig, output_dir=None) -> dict:
             spurious += min(window, rec.removed)
             window = 0
 
+    # the decision closest to its threshold: the smallest relative margin
+    # |normal_norm - eps_inc| / eps_inc over the steps that computed a normal
+    margins = [
+        (abs(rec.normal_norm - integ.eps_inc) / integ.eps_inc, step)
+        for step, rec in enumerate(state.logs, start=1)
+        if rec.normal_norm is not None and 0 < integ.eps_inc < math.inf
+    ]
+    margin, margin_step = min(margins, default=(None, None))
+
     summary = {
         "problem": config.problem,
         "dt": config.dt,
@@ -255,6 +264,8 @@ def run_experiment(config: RunConfig, output_dir=None) -> dict:
         # one evaluation per step and a second on each addition step
         "rhs_evals": steps_done + len(incs),
         "g_rank_max": g_rank_max,
+        "min_threshold_margin": margin,
+        "min_threshold_margin_step": margin_step,
         "wall_time_s": time.perf_counter() - t_start,
         "reference_s": reference_s,
         "snapshot_s": snapshot_s,

@@ -3,7 +3,7 @@ import functools
 import numpy as np
 import pytest
 
-from fttpde.ftt import FttTensor
+from fttpde.ftt import FttTensor, add, truncate
 from fttpde.grids import torus_domain
 
 
@@ -19,6 +19,12 @@ def random_ftt(domain, ranks, rng):
         for k, g in enumerate(domain.axes)
     ]
     return FttTensor(cores, domain)
+
+
+def truncated_step(u, delta_u, tol, max_ranks=None):
+    """Step-truncation: the full-space step u + delta_u rounded back to low
+    rank at relative tolerance tol, interface ranks capped by max_ranks."""
+    return truncate(add(u, delta_u), tol, max_ranks)[0]
 
 
 def assert_same_bytes(a, b):

@@ -22,13 +22,12 @@ from fttpde.integrators import (
     adaptive_step,
     bdf_tangent_estimate,
     lie_trotter_step,
-    step_truncation_step,
 )
 from fttpde.operators import eval_rhs
 from fttpde.problems import advection2d, fp4d, l2_error, marginal_2d
 from fttpde.runner import parse_config, run_experiment
 
-from conftest import random_ftt, weighted_dense_norm
+from conftest import random_ftt, truncated_step, weighted_dense_norm
 
 pytestmark = pytest.mark.acceptance
 
@@ -160,7 +159,7 @@ def test_criterion_3_consistency_slope():
     for dt in dts:
         g = eval_rhs(prob.rhs, u)
         lie = lie_trotter_step(u, scale(g, dt))
-        st = step_truncation_step(u, scale(g, dt), 0.0, max_ranks=u.ranks)
+        st = truncated_step(u, scale(g, dt), 0.0, max_ranks=u.ranks)
         diffs.append(norm(add(lie, scale(st, -1.0))))
     slope = float(np.polyfit(np.log(dts), np.log(diffs), 1)[0])
     report(3, 1.8 <= slope <= 2.2, f"fitted slope {slope:.3f} over dt={dts}", time.perf_counter() - t0, 120)

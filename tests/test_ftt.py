@@ -332,7 +332,7 @@ def test_sketch_truncate_meets_g_tol_on_fp4d_states(truncate_inputs):
         state = adaptive_step(state, prob.rhs, cfg)
         if step < 2:
             continue
-        raw = apply_separable(prob.rhs.op, state.u)
+        raw = apply_separable(prob.rhs, state.u)
         truncate_inputs.clear()
         out, _ = sketch_truncate(raw, operators.G_TOL, state.g_ranks)
         assert sum(truncate_inputs[0]) < sum(raw.ranks) / 2  # the sketch ran
@@ -415,7 +415,7 @@ def test_split_sketch_matches_formed_product_on_fp4d_states(truncate_inputs, pro
     for step, (prob, u, hint) in enumerate(fp4d_states(8)):
         if step < 3:
             continue
-        raw = apply_separable(prob.rhs.op, u)
+        raw = apply_separable(prob.rhs, u)
         formed, _ = sketch_truncate(raw, operators.G_TOL, hint)
         product_calls.clear()
         truncate_inputs.clear()
@@ -427,18 +427,18 @@ def test_split_sketch_matches_formed_product_on_fp4d_states(truncate_inputs, pro
         assert relative_error(out, raw) <= operators.G_TOL
 
 
-def rank_two_operator(n):
+def rank_two_operator(dom):
     """A 3-axis operator of TT-matrix ranks (1, 2, 2, 1)."""
-    grid = torus_domain(3, n).axes[0]
+    grid = dom.axes[0]
     c = np.diag(np.cos(grid.nodes))
-    return separable([(grid.diff1, None, None), (None, None, c)])
+    return separable([(grid.diff1, None, None), (None, None, c)], dom)
 
 
 def test_split_sketch_guard_redoes_a_too_small_sketch(rng, truncate_inputs, product_calls):
     dom = torus_domain(3, 48)
     x = four_copies(random_ftt(dom, (1, 7, 7, 1), rng))
-    op = rank_two_operator(48)
-    a = op.tt_matrix(dom.shape)
+    op = rank_two_operator(dom)
+    a = op.cores
     assert [c.shape[3] for c in a] == [2, 2, 1]
     raw = apply_separable(op, x)  # ranks (1, 56, 56, 1), G of rank at most 14
     formed, _ = sketch_truncate(raw, 1e-10, (1, 1, 1, 1))
@@ -455,7 +455,7 @@ def test_split_sketch_guard_redoes_a_too_small_sketch(rng, truncate_inputs, prod
 def test_split_sketch_is_reproducible(rng):
     dom = torus_domain(3, 48)
     x = four_copies(random_ftt(dom, (1, 7, 7, 1), rng))
-    a = rank_two_operator(48).tt_matrix(dom.shape)
+    a = rank_two_operator(dom).cores
     first, _ = sketch_truncate(x, 1e-10, (1, 14, 14, 1), a)
     second, _ = sketch_truncate(x, 1e-10, (1, 14, 14, 1), a)
     assert_same_bytes(first, second)
@@ -466,10 +466,10 @@ def test_split_sketch_falls_back_to_the_formed_product():
     prob = advection2d(n=17)
     u = prob.initial
     out = eval_rhs(prob.rhs, u, (1, 1, 1))
-    assert_same_bytes(out, truncate(apply_separable(prob.rhs.op, u), operators.G_TOL)[0])
+    assert_same_bytes(out, truncate(apply_separable(prob.rhs, u), operators.G_TOL)[0])
     # fp4d with a hint whose sketch ranks do not halve the raw ranks
     prob, u, _ = list(fp4d_states(5))[-1]
-    raw = apply_separable(prob.rhs.op, u)
+    raw = apply_separable(prob.rhs, u)
     out = eval_rhs(prob.rhs, u, raw.ranks)
     assert_same_bytes(out, truncate(raw, operators.G_TOL)[0])
 
@@ -477,7 +477,7 @@ def test_split_sketch_falls_back_to_the_formed_product():
 def test_split_sketch_without_a_hint_truncates_the_formed_product(rng):
     dom = torus_domain(3, 48)
     x = four_copies(random_ftt(dom, (1, 7, 7, 1), rng))
-    a = rank_two_operator(48).tt_matrix(dom.shape)
+    a = rank_two_operator(dom).cores
     out, schmidt = sketch_truncate(x, 1e-10, None, a)
     ref, ref_schmidt = truncate(ftt.apply_tt_matrix(a, x), 1e-10)
     assert_same_bytes(out, ref)
@@ -486,8 +486,7 @@ def test_split_sketch_without_a_hint_truncates_the_formed_product(rng):
 
 def test_split_sketch_peaks_below_the_formed_product():
     prob, u, hint = list(fp4d_states(10))[-1]
-    product_bytes = sum(c.nbytes for c in apply_separable(prob.rhs.op, u).cores)
-    eval_rhs(prob.rhs, u, hint)  # the TT-matrix is built and cached
+    product_bytes = sum(c.nbytes for c in apply_separable(prob.rhs, u).cores)
     tracemalloc.start()
     try:
         eval_rhs(prob.rhs, u, hint)

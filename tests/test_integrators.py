@@ -29,12 +29,11 @@ from fttpde.integrators import (
     lie_trotter_step,
     normal_component,
     rk4_dense_step,
-    step_truncation_step,
 )
-from fttpde.operators import RhsEvaluator, eval_rhs, separable
+from fttpde.operators import eval_rhs, separable
 from fttpde.problems import advection2d, fp4d
 
-from conftest import advection2d_rhs_dense, assert_same_bytes, random_ftt
+from conftest import advection2d_rhs_dense, assert_same_bytes, random_ftt, truncated_step
 
 
 # ---------------------------------------------------------------------------
@@ -77,26 +76,25 @@ def test_consistency_with_step_truncation_on_advection():
     for dt in dts:
         g = eval_rhs(prob.rhs, u)
         lie = lie_trotter_step(u, scale(g, dt))
-        st = step_truncation_step(u, scale(g, dt), 0.0, max_ranks=u.ranks)
+        st = truncated_step(u, scale(g, dt), 0.0, max_ranks=u.ranks)
         diffs.append(norm(add(lie, scale(st, -1.0))))
     shrink = diffs[0] / diffs[1]
     assert shrink >= 100.0 * 0.5  # at least ~x100 reduction for x10 smaller step
 
 
 # ---------------------------------------------------------------------------
-# step_truncation_step
+# step-truncation
 
 def make_decay_rhs(dom):
     # du/dt = -u as a rank-1 separable operator
     terms = [tuple(-np.eye(g.n) if k == 0 else None for k, g in enumerate(dom.axes))]
-    return RhsEvaluator(domain=dom, op=separable(terms))
+    return separable(terms, dom)
 
 
 def test_zero_rhs_keeps_state(dom2, rng):
-    zero_op = separable([tuple(np.zeros((g.n, g.n)) for g in dom2.axes)])
-    rhs = RhsEvaluator(domain=dom2, op=zero_op)
+    rhs = separable([tuple(np.zeros((g.n, g.n)) for g in dom2.axes)], dom2)
     u = random_ftt(dom2, (1, 2, 1), rng)
-    out = step_truncation_step(u, scale(eval_rhs(rhs, u), 0.1), 1e-14)
+    out = truncated_step(u, scale(eval_rhs(rhs, u), 0.1), 1e-14)
     assert norm(add(out, scale(u, -1.0))) <= 1e-12 * norm(u)
 
 
@@ -104,7 +102,7 @@ def test_linear_decay_euler_factor(dom2, rng):
     rhs = make_decay_rhs(dom2)
     u = random_ftt(dom2, (1, 2, 1), rng)
     dt = 0.05
-    out = step_truncation_step(u, scale(eval_rhs(rhs, u), dt), 1e-13)
+    out = truncated_step(u, scale(eval_rhs(rhs, u), dt), 1e-13)
     assert np.max(np.abs(to_full(out) - (1 - dt) * to_full(u))) <= 1e-10 * np.max(
         np.abs(to_full(u))
     )
@@ -114,7 +112,7 @@ def test_one_step_matches_dense_euler():
     prob = advection2d(n=33)
     u = prob.initial
     dt = 1e-4
-    out = step_truncation_step(u, scale(eval_rhs(prob.rhs, u), dt), 1e-10)
+    out = truncated_step(u, scale(eval_rhs(prob.rhs, u), dt), 1e-10)
     dense = to_full(u) + dt * advection2d_rhs_dense(prob.domain)(to_full(u))
     assert np.max(np.abs(to_full(out) - dense)) <= 1e-8
 
@@ -254,8 +252,7 @@ def test_rank_preserving_dynamics_normal_vanishes_with_dt():
     # backward-difference error and shrinks linearly with dt
     dom = torus_domain(2, 21)
     g1 = dom.axes[0]
-    op = separable([(g1.diff1, None)])
-    rhs = RhsEvaluator(domain=dom, op=op)
+    rhs = separable([(g1.diff1, None)], dom)
     x1, x2 = np.meshgrid(g1.nodes, dom.axes[1].nodes, indexing="ij")
     u0 = from_full(np.sin(x1) + 0 * x2, dom, 1e-12)
     results = {}
@@ -294,13 +291,13 @@ def test_interleaved_trajectories_keep_their_own_rank_hints():
 def test_rank_increase_triggered(dom2, rng):
     # force growth: tiny threshold, dynamics with large normal component
     g1, g2 = dom2.axes
-    op = separable(
+    rhs = separable(
         [
             (np.diag(np.sin(g1.nodes)) @ g1.diff1, None),
             (None, np.diag(np.cos(g2.nodes)) @ g2.diff1),
-        ]
+        ],
+        dom2,
     )
-    rhs = RhsEvaluator(domain=dom2, op=op)
     x1, x2 = np.meshgrid(g1.nodes, g2.nodes, indexing="ij")
     u0 = from_full(np.exp(np.sin(x1 + x2)), dom2, 0.0, max_ranks=(1, 3, 1))
     cfg = IntegratorConfig(dt=1e-3, eps_inc=1e-8, dec_period=0)
@@ -522,7 +519,7 @@ def _gradient_rhs(dom):
     terms = [
         tuple(g.diff1 if j == k else None for j, g in enumerate(dom.axes)) for k in range(dom.ndim)
     ]
-    return RhsEvaluator(domain=dom, op=separable(terms))
+    return separable(terms, dom)
 
 
 READ_ONLY_CASES = {
@@ -535,7 +532,7 @@ READ_ONLY_CASES = {
     "norm": lambda u, v: norm(u),
     "zero_pad": lambda u, v: zero_pad(u, v, tol=0.0),
     "lie_trotter_step": lambda u, v: lie_trotter_step(u, scale(v, 1e-3)),
-    "step_truncation_step": lambda u, v: step_truncation_step(u, scale(v, 1e-3), 1e-10),
+    "truncated_step": lambda u, v: truncated_step(u, scale(v, 1e-3), 1e-10),
     "eval_rhs": lambda u, v: eval_rhs(_gradient_rhs(u.domain), u),
 }
 

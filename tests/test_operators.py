@@ -5,7 +5,6 @@ from fttpde import ftt, operators, problems
 from fttpde.ftt import from_full, to_full
 from fttpde.grids import Domain, ShapeError, make_periodic_grid, torus_domain
 from fttpde.operators import (
-    RhsEvaluator,
     apply_separable,
     apply_separable_dense,
     eval_rhs,
@@ -17,7 +16,7 @@ from conftest import advection2d_rhs_dense, kron_matrix, random_ftt, weighted_de
 
 
 def identity_op(domain, r=1):
-    return separable([tuple(None for _ in domain.axes)] * r)
+    return separable([tuple(None for _ in domain.axes)] * r, domain)
 
 
 def test_identity_operator(dom2, rng):
@@ -29,7 +28,7 @@ def test_identity_operator(dom2, rng):
 def test_gradient_sum_on_product_of_sines():
     dom = torus_domain(2, 21)
     g1, g2 = dom.axes
-    op = separable([(g1.diff1, None), (None, g2.diff1)])
+    op = separable([(g1.diff1, None), (None, g2.diff1)], dom)
     x1, x2 = np.meshgrid(g1.nodes, g2.nodes, indexing="ij")
     u = from_full(np.sin(x1) * np.sin(x2), dom, 1e-12)
     out = apply_separable(op, u)
@@ -44,7 +43,8 @@ def test_apply_separable_rank_growth(dom3, rng):
             (dom3.axes[0].diff1, None, None),
             (None, dom3.axes[1].diff1, None),
             (None, None, dom3.axes[2].diff1),
-        ]
+        ],
+        dom3,
     )
     u = random_ftt(dom3, (1, 2, 2, 1), rng)
     out = apply_separable(op, u)
@@ -57,7 +57,8 @@ def test_apply_separable_matches_dense_oracle(dom3, rng):
         [
             (mats[0], None, None),
             (None, mats[1], mats[2]),
-        ]
+        ],
+        dom3,
     )
     u = random_ftt(dom3, (1, 2, 2, 1), rng)
     out = to_full(apply_separable(op, u))
@@ -82,7 +83,8 @@ def mixed_op(dom, rng):
             (diags[0],) + tuple(mats[1:]),  # diagonal and dense mixed
             tuple(mats[:-1]) + (diags[-1],),
             (None, dom.axes[1].diff2) + tuple(diags[2:]),
-        ]
+        ],
+        dom,
     )
 
 
@@ -112,7 +114,7 @@ def stacked_terms(dom, rng):
 
 
 def stacked_op(dom, rng):
-    return separable(stacked_terms(dom, rng))
+    return separable(stacked_terms(dom, rng), dom)
 
 
 @pytest.mark.parametrize(
@@ -146,9 +148,9 @@ def test_apply_separable_dense_rejects_wrong_dimension(dom2, dom3, rng):
         apply_separable_dense(identity_op(dom2), rng.standard_normal(dom3.shape))
 
 
-def test_separable_needs_a_term():
+def test_separable_needs_a_term(dom2):
     with pytest.raises(ValueError, match="at least one term"):
-        separable([])
+        separable([], dom2)
 
 
 def test_fp4d_stacks_are_read_only():
@@ -175,13 +177,12 @@ def test_fp4d_reference_rhs_matches_operator_oracle(n, rng):
     assert np.array_equal(values, before)
 
 
-def tt_matrix_ranks(op, shape):
-    return (1,) + tuple(c.shape[3] for c in op.tt_matrix(shape))
+def tt_matrix_ranks(op):
+    return (1,) + tuple(c.shape[3] for c in op.cores)
 
 
 def test_fokker_planck_tt_matrix_ranks():
-    prob = fp4d(n=11)
-    assert tt_matrix_ranks(prob.rhs.op, prob.domain.shape) == (1, 4, 4, 4, 1)
+    assert tt_matrix_ranks(fp4d(n=11).rhs) == (1, 4, 4, 4, 1)
 
 
 def test_compressed_operator_matches_dense_oracle(dom3, rng):
@@ -197,9 +198,10 @@ def test_compressed_operator_matches_dense_oracle(dom3, rng):
             (None, diag, mat),
             (np.diag(np.sin(g1.nodes)), None, None),
             (g1.diff2, diag, mat),
-        ]
+        ],
+        dom3,
     )
-    tt_ranks = tt_matrix_ranks(op, dom3.shape)
+    tt_ranks = tt_matrix_ranks(op)
     assert max(tt_ranks) < len(op.terms)
     u = random_ftt(dom3, (1, 2, 3, 1), rng)
     out = apply_separable(op, u)
@@ -208,7 +210,7 @@ def test_compressed_operator_matches_dense_oracle(dom3, rng):
     assert all(r <= t * ru for r, t, ru in zip(out.ranks, tt_ranks, u.ranks))
 
 
-def test_tt_matrix_built_once_per_shape(dom2, rng, monkeypatch):
+def test_tt_matrix_built_once_at_construction(monkeypatch):
     builds = []
     build = operators._build_tt_matrix
 
@@ -217,19 +219,18 @@ def test_tt_matrix_built_once_per_shape(dom2, rng, monkeypatch):
         return build(terms, shape)
 
     monkeypatch.setattr(operators, "_build_tt_matrix", counting_build)
-    g1, g2 = dom2.axes
-    op = separable([(g1.diff1, None), (None, g2.diff2)])
-    u = random_ftt(dom2, (1, 2, 1), rng)
-    first = to_full(apply_separable(op, u))
-    second = to_full(apply_separable(op, u))
-    assert builds == [dom2.shape]
-    assert np.array_equal(first, second)
+    prob = fp4d(n=7)
+    assert builds == [prob.domain.shape]
+    first = to_full(eval_rhs(prob.rhs, prob.initial))
+    for _ in range(2):
+        assert np.array_equal(to_full(eval_rhs(prob.rhs, prob.initial)), first)
+    assert builds == [prob.domain.shape]
 
 
 def test_tt_matrix_cores_are_read_only(dom2):
     g1, g2 = dom2.axes
-    op = separable([(g1.diff1, None), (None, g2.diff1)])
-    for core in op.tt_matrix(dom2.shape):
+    op = separable([(g1.diff1, None), (None, g2.diff1)], dom2)
+    for core in op.cores:
         assert not core.flags.writeable
         with pytest.raises(ValueError):
             core[0, 0, 0, 0] = 1.0
@@ -237,7 +238,7 @@ def test_tt_matrix_cores_are_read_only(dom2):
 
 def test_apply_separable_linearity(dom2, rng):
     g1, g2 = dom2.axes
-    op = separable([(g1.diff1, None), (None, np.diag(np.cos(g2.nodes)) @ g2.diff1)])
+    op = separable([(g1.diff1, None), (None, np.diag(np.cos(g2.nodes)) @ g2.diff1)], dom2)
     a = random_ftt(dom2, (1, 2, 1), rng)
     b = random_ftt(dom2, (1, 3, 1), rng)
     from fttpde.ftt import add
@@ -248,27 +249,28 @@ def test_apply_separable_linearity(dom2, rng):
 
 
 def test_apply_separable_shape_error(dom2, rng):
-    op = separable([(np.eye(5), None)])
+    op = identity_op(torus_domain(2, 5))
     u = random_ftt(dom2, (1, 2, 1), rng)
     with pytest.raises(ShapeError):
         apply_separable(op, u)
 
 
 @pytest.mark.parametrize("shape", [(7, 7, 7), (7, 7, 7, 9)], ids=["too_few_axes", "wrong_size"])
-def test_tt_matrix_rejects_shape_that_does_not_fit(shape):
-    op = fp4d(n=7).rhs.op
+def test_tt_matrix_rejects_shape_that_does_not_fit(shape, monkeypatch):
+    # separable checks the terms against the domain before it builds anything
+    terms = fp4d_operator(torus_domain(4, 7)).terms
+    monkeypatch.setattr(operators, "_build_tt_matrix", None)
     with pytest.raises(ShapeError):
-        op.tt_matrix(shape)
-    assert shape not in op._tt_cache
+        separable(terms, uneven_domain(*shape))
 
 
 def test_fokker_planck_operator_matches_dense():
     prob = fp4d(n=11)
-    assert len(prob.rhs.op.terms) == 9
+    assert len(prob.rhs.terms) == 9
     rng = np.random.default_rng(5)
     u = random_ftt(prob.domain, (1, 2, 2, 2, 1), rng)
     out = to_full(eval_rhs(prob.rhs, u))
-    oracle = apply_separable_dense(prob.rhs.op, to_full(u))
+    oracle = apply_separable_dense(prob.rhs, to_full(u))
     err = weighted_dense_norm(out - oracle, prob.domain)
     assert err <= max(1e-10 * weighted_dense_norm(oracle, prob.domain), 1e-8)
 
@@ -276,7 +278,7 @@ def test_fokker_planck_operator_matches_dense():
 def test_fokker_planck_operator_on_initial_profile():
     prob = fp4d(n=11)
     out = to_full(eval_rhs(prob.rhs, prob.initial))
-    oracle = apply_separable_dense(prob.rhs.op, to_full(prob.initial))
+    oracle = apply_separable_dense(prob.rhs, to_full(prob.initial))
     assert weighted_dense_norm(out - oracle, prob.domain) <= 1e-8
 
 
@@ -330,23 +332,26 @@ def test_kse_rhs_matches_dense_random_low_rank(rng):
 
 def test_separable_reduces_to_apply_plus_truncate(dom2, rng):
     g1, g2 = dom2.axes
-    op = separable([(g1.diff1, None), (None, g2.diff1)])
-    rhs = RhsEvaluator(domain=dom2, op=op)
+    op = separable([(g1.diff1, None), (None, g2.diff1)], dom2)
     u = random_ftt(dom2, (1, 2, 1), rng)
     direct = to_full(apply_separable(op, u))
-    assert np.max(np.abs(to_full(eval_rhs(rhs, u)) - direct)) <= 1e-9 * max(
+    assert np.max(np.abs(to_full(eval_rhs(op, u)) - direct)) <= 1e-9 * max(
         1.0, np.max(np.abs(direct))
     )
 
 
-def test_eval_rhs_domain_check(rng):
+def test_eval_rhs_domain_check():
+    rng = np.random.default_rng(0)
     dom_a = torus_domain(2, 9)
     dom_b = torus_domain(2, 11)
-    rhs = RhsEvaluator(domain=dom_a, op=identity_op(dom_a))
-    with pytest.raises(ShapeError):
-        eval_rhs(rhs, random_ftt(dom_b, (1, 2, 1), np.random.default_rng(0)))
-    # the same n on another interval fits the operator's TT-matrix, so only
-    # the evaluator's domain check refuses it
+    # the same n on another interval fits the TT-matrix's shape, so only the
+    # operator's domain check refuses it
     dom_c = Domain(axes=(make_periodic_grid(9, 0.0, 1.0),) * 2)
+    rhs = identity_op(dom_a)
+    for dom in (dom_b, dom_c):
+        with pytest.raises(ShapeError):
+            eval_rhs(rhs, random_ftt(dom, (1, 2, 1), rng))
+    # kse2d's composite checks its input through apply_separable
+    kse = kse2d(n=9)
     with pytest.raises(ShapeError):
-        eval_rhs(rhs, random_ftt(dom_c, (1, 2, 1), np.random.default_rng(0)))
+        eval_rhs(kse.rhs, random_ftt(dom_c, (1, 2, 1), rng))

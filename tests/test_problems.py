@@ -192,7 +192,7 @@ def test_kse_initial_rank_from_svd_oracle():
 
 def test_fp_operator_has_nine_terms():
     prob = fp4d(n=7)
-    assert len(prob.rhs.op.terms) == 9
+    assert len(prob.rhs.terms) == 9
     assert prob.params == {"alpha": 0.1, "beta": 2.0, "k": 1.0}
 
 
@@ -213,7 +213,7 @@ def test_fp_initial_rank_one():
 def test_fp_reference_matches_kronecker_rk4():
     prob = fp4d(n=7)
     shape = prob.domain.shape
-    mat = kron_matrix(prob.rhs.op, shape)
+    mat = kron_matrix(prob.rhs, shape)
     u = prob.reference.solution(0.0)
     for _ in range(10):
         u = rk4_dense_step(u, lambda v: (mat @ v.ravel()).reshape(shape), 1e-3)
@@ -226,7 +226,7 @@ def test_fp_generator_integrates_to_zero():
     prob = fp4d(n=11)
     rng = np.random.default_rng(2)
     p = random_ftt(prob.domain, (1, 2, 2, 2, 1), rng)
-    lp = apply_separable_dense(prob.rhs.op, to_full(p))
+    lp = apply_separable_dense(prob.rhs, to_full(p))
     w = prob.domain.axes[0].weights
     total = lp.copy()
     for _ in range(4):

@@ -297,6 +297,21 @@ def test_summary_counts_modes_added_and_removed_again(small_fp4d_run, tmp_path):
     assert no_sweep["modes_added"] > 0 and no_sweep["spurious_modes"] == 0
 
 
+def test_summary_reports_the_smallest_threshold_margin(small_fp4d_run, tmp_path):
+    outdir, summary = small_fp4d_run
+    rows = [line.split(",") for line in (outdir / "timeseries.csv").read_text().splitlines()[1:]]
+    margins = [(abs(float(row[2]) - 1e-3) / 1e-3, step) for step, row in enumerate(rows) if row[2]]
+    assert len(margins) == summary["steps_completed"] - 1  # no normal on step 1
+    stored = json.loads((outdir / "summary.json").read_text())
+    expected = min(margins)
+    assert [stored["min_threshold_margin"], stored["min_threshold_margin_step"]] == list(expected)
+    assert summary["min_threshold_margin"] == expected[0]
+    # with eps_inc = inf no threshold is ever decided
+    never_add = SMALL_FP4D.replace("eps_inc = 1e-3\n", "")
+    off = run_experiment(parse_config(write_cfg(tmp_path, never_add)), tmp_path / "never_add")
+    assert off["min_threshold_margin"] is None and off["min_threshold_margin_step"] is None
+
+
 def test_summary_reports_time_per_phase(small_run, small_fp4d_run, tmp_path):
     never_add = SMALL_ADVECTION.replace("eps_inc = 1e-2", "eps_inc = inf")
     summaries = [
