@@ -21,7 +21,9 @@ difference for it, the relative change in `final_error`,
 and the `summary.json` fields of SUMMARY_FIELDS (the step count, final
 time and ranks, and the event, evaluation and spurious-mode counts) that
 differ, with both sides' values, and whether both runs wrote the same
-snapshot files byte for byte.  It also reports each side's cost: `wall_time_s`,
+snapshot files byte for byte.  It reports each side's peak interior rank, the
+largest of r1..r_{d-1} over the rows of `timeseries.csv`, as perfbench reads
+`peak_rank`.  It also reports each side's cost: `wall_time_s`,
 `reference_s` (the time spent in the reference solution) and `phase_s`
 (the time per step phase) from its `summary.json`, and the peak RSS of its
 own process in MB (from that process's rusage).  The two sides run at the
@@ -117,6 +119,12 @@ def column_diffs(a: dict[str, list[str]], b: dict[str, list[str]]) -> tuple[list
     return identical, {c: max_rel_diff(a.get(c), b.get(c)) for c in names if c not in identical}
 
 
+def peak_rank(series: dict[str, list[str]]) -> int:
+    """The largest interior rank r1..r_{d-1} over the rows of one timeseries."""
+    interior = [c for c in series if c[0] == "r" and c[1:].isdigit()][1:-1]
+    return max((int(x) for c in interior for x in series[c]), default=0)
+
+
 def first_event_difference(a: dict, b: dict, eps_inc: tuple[float, float]) -> dict | None:
     """The first step whose `event` differs between two timeseries, with
     each side's `event`, `normal_norm` and relative margin |normal_norm -
@@ -176,6 +184,7 @@ def compare(name: str, parent: tuple[Path, float], change: tuple[Path, float]) -
         "summary_differ": {
             k: [sum_a.get(k), sum_b.get(k)] for k in SUMMARY_FIELDS if sum_a.get(k) != sum_b.get(k)
         },
+        "peak_rank": [peak_rank(s) for s in series],
         "final_error": [err_a, err_b],
         "final_error_rel_change": (
             abs(err_b - err_a) / abs(err_a) if err_a and err_b is not None else None

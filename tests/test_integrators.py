@@ -21,6 +21,9 @@ from fttpde.ftt import (
 from fttpde.grids import torus_domain
 from fttpde.integrators import (
     BDF_COEFFS,
+    PAD_CAP,
+    PAD_FLOOR,
+    PAD_SAFETY,
     AdaptiveState,
     HistoryNotReadyError,
     IntegratorConfig,
@@ -164,12 +167,15 @@ FP4D_SAWTOOTH = IntegratorConfig(dt=1e-3, eps_inc=1e-3, eps_dec=1e-8, dec_period
 
 @pytest.fixture(scope="module")
 def sawtooth_state():
-    """fp4d_inc1e-3 (n=21) after 24 steps: the estimate of step 25 rounds
-    a difference of ranks (1, 42, 161, 42, 1)."""
+    """fp4d_inc1e-3 (n=21) after 24 steps, every addition padding at the
+    floor tolerance: the estimate of step 25 rounds a difference of ranks
+    (1, 42, 161, 42, 1), which the sketch at least halves."""
     prob = fp4d()
     state = AdaptiveState.initial(prob.initial)
-    for _ in range(24):
-        state = adaptive_step(state, prob.rhs, FP4D_SAWTOOTH)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(integrators, "PAD_CAP", integrators.PAD_FLOOR)
+        for _ in range(24):
+            state = adaptive_step(state, prob.rhs, FP4D_SAWTOOTH)
     return state
 
 
@@ -324,17 +330,18 @@ def test_step_after_an_addition_is_continuous_in_g(monkeypatch):
         state = adaptive_step(state, prob.rhs, FP4D_SAWTOOTH)
     assert state.logs[1].event.startswith("inc:")
     u, delta_u = sweeps[1]
-    assert u.ranks == (1, 5, 6, 5, 1)
+    assert u.ranks == (1, 4, 5, 4, 1)
     base = lie_trotter_step(u, delta_u)
     moved = lie_trotter_step(u, scale(delta_u, 1.0 + 1e-15))
     assert norm(add(moved, scale(base, -1.0))) <= 1e-14 * norm(base)
 
 
-def test_addition_rounds_the_normal_once_within_the_free_ranks(monkeypatch):
-    # fp4d n=9 reaches the outer grid cap 9 by step 5; rounding the normal
-    # at 1e-2 without the cap and then clipping it to the free ranks kept
-    # 5 middle modes there, two of them below the tolerance
-    prob = fp4d(n=9)
+def pad_tol(normal_norm, eps_inc):
+    return max(PAD_FLOOR, min(PAD_CAP, PAD_SAFETY * eps_inc / normal_norm))
+
+
+def spy_pads(monkeypatch):
+    """The (u, normal, tol) of every zero_pad call adaptive_step makes."""
     pads = []
 
     def spy(u, normal, tol):
@@ -342,22 +349,68 @@ def test_addition_rounds_the_normal_once_within_the_free_ranks(monkeypatch):
         return zero_pad(u, normal, tol)
 
     monkeypatch.setattr(integrators, "zero_pad", spy)
+    return pads
+
+
+def test_addition_rounds_the_normal_once_within_the_free_ranks(monkeypatch):
+    # fp4d n=9 reaches the outer grid cap 9 by step 6; rounding the normal
+    # at the pad tolerance without the cap and then clipping it to the free
+    # ranks kept 2 middle modes there, one of them below the tolerance
+    prob = fp4d(n=9)
+    pads = spy_pads(monkeypatch)
     state = AdaptiveState.initial(prob.initial)
-    for _ in range(5):
+    for _ in range(7):
         state = adaptive_step(state, prob.rhs, FP4D_SAWTOOTH)
     u, normal, tol = pads[-1]
-    assert len(pads) == 4 and tol == 1e-2
-    assert u.ranks == (1, 9, 14, 9, 1)
-    free = [1, 1, 81 - 14, 1, 1]
+    assert len(pads) == 6 and tol == pad_tol(state.logs[-1].normal_norm, 1e-3)
+    assert u.ranks == (1, 9, 13, 9, 1)
+    free = [1, 1, 81 - 13, 1, 1]
     once, _ = truncate(normal, tol, max_ranks=free)
-    assert once.ranks == (1, 1, 3, 1, 1)
+    assert once.ranks == (1, 1, 1, 1, 1)
     padded = zero_pad(u, normal, tol)
     # u's ranks plus the rounded normal's; the right sweep already drops the
     # pad above the cap at interface 3, the step's sweep the one at interface 1
-    assert padded.ranks == (1, 10, 17, 9, 1)
-    assert state.logs[-1].event == "inc:3"
+    assert padded.ranks == (1, 10, 14, 9, 1)
+    assert state.logs[-1].event == "inc:1"
     twice, _ = truncate(truncate(normal, tol)[0], 0.0, max_ranks=free)
-    assert twice.ranks[2] == 5
+    assert twice.ranks[2] == 2
+
+
+def test_addition_pads_only_what_the_threshold_asks_for(monkeypatch):
+    # fp4d n=9 over the sawtooth horizon, across the step-25 removal: each
+    # addition rounds the normal at the rule's tolerance, what the template
+    # leaves out is under PAD_SAFETY * eps_inc where the middle term sets
+    # it, and no padded rank exceeds that of the floor tolerance's pad
+    prob = fp4d(n=9)
+    eps_inc = FP4D_SAWTOOTH.eps_inc
+    pads = spy_pads(monkeypatch)
+    roundings = []
+
+    def spy(x, tol, max_ranks=None):
+        out = truncate(x, tol, max_ranks)
+        roundings.append((x, out[0]))
+        return out
+
+    monkeypatch.setattr(ftt, "truncate", spy)
+    state = AdaptiveState.initial(prob.initial)
+    middle = 0
+    for _ in range(30):
+        count = len(pads)
+        roundings.clear()
+        state = adaptive_step(state, prob.rhs, FP4D_SAWTOOTH)
+        if len(pads) == count:
+            continue
+        u, normal, tol = pads[-1]
+        normal_norm = state.logs[-1].normal_norm
+        assert tol == pad_tol(normal_norm, eps_inc)
+        if PAD_FLOOR < tol < PAD_CAP:
+            middle += 1
+            # zero_pad's one rounding of the normal
+            template = next(out for x, out in roundings if x is normal)
+            assert norm(add(normal, scale(template, -1.0))) <= PAD_SAFETY * eps_inc
+        widest = zero_pad(u, normal, PAD_FLOOR)
+        assert all(a <= b for a, b in zip(zero_pad(u, normal, tol).ranks, widest.ranks))
+    assert len(pads) == 29 and middle > 0
 
 
 def test_no_adaptation_on_first_step(dom2, rng):

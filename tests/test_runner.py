@@ -269,11 +269,11 @@ def small_fp4d_run(tmp_path_factory):
 
 
 def test_inc_labels_count_the_kept_modes(small_fp4d_run):
-    # from step 4 the outer interfaces sit at the grid cap 9, so each
+    # from step 5 the outer interfaces sit at the grid cap 9, so each
     # addition pads them by one mode that the sweep drops
     outdir, summary = small_fp4d_run
     rows = [line.split(",") for line in (outdir / "timeseries.csv").read_text().splitlines()[1:]]
-    assert [int(row[4]) for row in rows[4:]] == [9] * 3
+    assert [int(row[4]) for row in rows[5:]] == [9] * 2
     interior = [sum(int(r) for r in row[4:-2]) for row in rows]
     labels = [(row[-1], growth) for row, growth in zip(rows[1:], np.diff(interior))]
     inc = [int(event[4:]) for event, _ in labels if event.startswith("inc:")]
@@ -288,7 +288,7 @@ def test_summary_counts_modes_added_and_removed_again(small_fp4d_run, tmp_path):
     # sweeps remove was added
     sweep_every_3 = SMALL_FP4D.replace("dec_period = 25", "dec_period = 3")
     fp = run_experiment(parse_config(write_cfg(tmp_path, sweep_every_3)), tmp_path / "fp")
-    assert fp["modes_added"] > fp["modes_removed"] == fp["spurious_modes"] == 30
+    assert fp["modes_added"] > fp["modes_removed"] == fp["spurious_modes"] == 13
     coarse = SMALL_DEC + "eps_dec = 1e-2\n"
     dec = run_experiment(parse_config(write_cfg(tmp_path, coarse)), tmp_path / "dec")
     assert dec["modes_removed"] > 0 and dec["modes_added"] == dec["spurious_modes"] == 0
