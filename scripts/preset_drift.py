@@ -20,14 +20,17 @@ threshold's roundoff reads apart from one far from it), whether
 difference for it, the relative change in `final_error`,
 and the `summary.json` fields of SUMMARY_FIELDS (the step count, final
 time and ranks, and the event, evaluation and spurious-mode counts) that
-differ, with both sides' values, and whether both runs wrote the same
-snapshot files byte for byte.  It reports each side's peak interior rank, the
-largest of r1..r_{d-1} over the rows of `timeseries.csv`, as perfbench reads
-`peak_rank`.  It also reports each side's cost: `wall_time_s`,
-`reference_s` (the time spent in the reference solution) and `phase_s`
-(the time per step phase) from its `summary.json`, and the peak RSS of its
-own process in MB (from that process's rusage).  The two sides run at the
-same time, so the times are indicative only.  Exits 1 if any run failed, else 0.
+differ, with both sides' values, whether both runs wrote the same
+snapshot files byte for byte, and whether both `run.log` files hold the same
+set of `key = value` lines in any order (with the lines only one side
+holds), so that a reordered `run.log` reads apart from a changed value.
+It reports each side's peak interior rank, the largest of r1..r_{d-1} over
+the rows of `timeseries.csv`, as perfbench reads `peak_rank`.  It also
+reports each side's cost: `wall_time_s`, `reference_s` (the time spent in
+the reference solution) and `phase_s` (the time per step phase) from its
+`summary.json`, and the peak RSS of its own process in MB (from that
+process's rusage).  The two sides run at the same time, so the times are
+indicative only.  Exits 1 if any run failed, else 0.
 """
 
 import argparse
@@ -174,6 +177,9 @@ def compare(name: str, parent: tuple[Path, float], change: tuple[Path, float]) -
     sum_a = json.loads((parent_out / "summary.json").read_text())
     sum_b = json.loads((change_out / "summary.json").read_text())
     err_a, err_b = sum_a["final_error"], sum_b["final_error"]
+    log_a, log_b = (
+        set((out / "run.log").read_text().splitlines()) for out in (parent_out, change_out)
+    )
     return {
         "preset": name,
         "identical": identical,
@@ -181,6 +187,8 @@ def compare(name: str, parent: tuple[Path, float], change: tuple[Path, float]) -
         "singular_values_identical": sv_a.read_bytes() == sv_b.read_bytes(),
         "singular_values_differ": column_diffs(columns(sv_a), columns(sv_b))[1],
         "snapshots_identical": same_snapshots(parent_out, change_out),
+        "run_log_same_lines": log_a == log_b,
+        "run_log_differ": [sorted(log_a - log_b), sorted(log_b - log_a)],
         "summary_differ": {
             k: [sum_a.get(k), sum_b.get(k)] for k in SUMMARY_FIELDS if sum_a.get(k) != sum_b.get(k)
         },

@@ -6,7 +6,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 from typing import ClassVar
 
@@ -22,17 +22,13 @@ class ConfigError(ValueError):
     """Malformed or incomplete run configuration."""
 
 
-@dataclass
-class RunConfig:
+@dataclass(frozen=True, kw_only=True)
+class RunConfig(IntegratorConfig):
+    """A run's settings: IntegratorConfig's, then the run's own keys."""
     problem: str
     # not a config key: perfbench/child.py and perfbench/run.py read config.scheme
     scheme: ClassVar[str] = "lie_trotter"
-    dt: float
     t_final: float
-    eps_inc: float = math.inf
-    eps_dec: float = 1e-12
-    dec_period: int = 100
-    bdf_points: int = 2
     max_ranks: tuple[int, ...] | None = None
     reference: bool = True
     reference_dt: float | None = None
@@ -40,24 +36,28 @@ class RunConfig:
     snapshot_every: int = 0
     n: int | None = None
 
+    def __post_init__(self):
+        super().__post_init__()
+        if self.reference_dt is not None and not 0 < self.reference_dt < math.inf:
+            raise ValueError(f"reference_dt must be positive and finite, got {self.reference_dt}")
+        if self.snapshot_every < 0:
+            raise ValueError(f"snapshot_every must be nonnegative, got {self.snapshot_every}")
+        ratio = self.t_final / self.dt
+        if not (math.isfinite(ratio) and abs(ratio - round(ratio)) <= 1e-9 * ratio):
+            raise ValueError(f"t_final / dt = {ratio!r} is not a nonnegative whole number of steps")
 
-_REQUIRED_KEYS = ("problem", "dt", "t_final")
 
-_PARSERS = {
-    "problem": str,
-    "dt": float,
-    "t_final": float,
-    "eps_inc": float,
-    "eps_dec": float,
-    "dec_period": int,
-    "bdf_points": int,
-    "max_ranks": lambda s: tuple(int(x) for x in s.split(",")),
-    "reference": lambda s: {"on": True, "off": False, "true": True, "false": False}[s.lower()],
-    "reference_dt": float,
-    "output_dir": str,
-    "snapshot_every": int,
-    "n": int,
+_REQUIRED_KEYS = [f.name for f in fields(RunConfig) if f.default is MISSING]
+
+# each key is parsed by the type of its field; a key typed "X | None" takes an X
+_TYPE_PARSERS = {
+    "str": str,
+    "float": float,
+    "int": int,
+    "bool": lambda s: {"on": True, "off": False, "true": True, "false": False}[s.lower()],
+    "tuple[int, ...]": lambda s: tuple(int(x) for x in s.split(",")),
 }
+_PARSERS = {f.name: _TYPE_PARSERS[f.type.removesuffix(" | None")] for f in fields(RunConfig)}
 
 
 def parse_config(path) -> RunConfig:
@@ -66,11 +66,12 @@ def parse_config(path) -> RunConfig:
     Blank lines and lines starting with '#' are ignored; unknown keys and
     unparsable values are errors naming the offending key.
     """
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError("config file not found")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file: {exc}") from exc
     values: dict = {}
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -90,7 +91,10 @@ def parse_config(path) -> RunConfig:
     missing = [k for k in _REQUIRED_KEYS if k not in values]
     if missing:
         raise ConfigError(f"missing required keys: {', '.join(missing)}")
-    return RunConfig(**values)
+    try:
+        return RunConfig(**values)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _fmt(x) -> str:
@@ -98,17 +102,11 @@ def _fmt(x) -> str:
 
 
 def _validated_setup(config: RunConfig):
-    """Build the problem, the integrator settings and the step count, raising
-    ConfigError for any invalid value before a run writes anything."""
-    if config.reference_dt is not None and not 0 < config.reference_dt < math.inf:
-        raise ConfigError(f"reference_dt must be positive and finite, got {config.reference_dt}")
-    if config.snapshot_every < 0:
-        raise ConfigError(f"snapshot_every must be nonnegative, got {config.snapshot_every}")
+    """Build the problem and check max_ranks against it, raising ConfigError
+    for any invalid value before a run writes anything."""
     try:
-        # unknown problem, too few grid points, or a value IntegratorConfig rejects
+        # unknown problem, or too few or too many grid points
         problem = build_problem(config.problem, n=config.n, reference_dt=config.reference_dt)
-        keys = [f.name for f in fields(IntegratorConfig)]
-        integ = IntegratorConfig(**{k: getattr(config, k) for k in keys})
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     d = problem.domain.ndim
@@ -117,10 +115,7 @@ def _validated_setup(config: RunConfig):
         raise ConfigError(
             f"max_ranks must be {d + 1} positive ranks starting and ending with 1, got {mr}"
         )
-    ratio = config.t_final / config.dt
-    if not (math.isfinite(ratio) and abs(ratio - round(ratio)) <= 1e-9 * ratio):
-        raise ConfigError(f"t_final / dt = {ratio!r} is not a nonnegative whole number of steps")
-    return problem, integ, round(ratio)
+    return problem
 
 
 def _tensor_is_finite(u) -> bool:
@@ -135,9 +130,13 @@ def run_experiment(config: RunConfig, output_dir=None) -> dict:
     "nan" if the solution left the finite range (the last finite state is
     preserved as snapshot_lastgood.fttsnap)."""
     t_start = time.perf_counter()
-    problem, integ, n_steps = _validated_setup(config)
+    problem = _validated_setup(config)
+    n_steps = round(config.t_final / config.dt)
     out = Path(output_dir or config.output_dir or ".")
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {str(out)!r}: {exc.strerror}") from exc
     dom = problem.domain
     d = dom.ndim
 
@@ -196,7 +195,7 @@ def run_experiment(config: RunConfig, output_dir=None) -> dict:
         final_u = u0
         for step in range(1, n_steps + 1):
             try:
-                state = adaptive_step(state, problem.rhs, integ)
+                state = adaptive_step(state, problem.rhs, config)
                 blown_up = not _tensor_is_finite(state.u)
             except np.linalg.LinAlgError:
                 # overflow can surface as a non-converging SVD before the
@@ -232,16 +231,16 @@ def run_experiment(config: RunConfig, output_dir=None) -> dict:
     spurious = window = 0
     for step, rec in enumerate(state.logs, start=1):
         window += rec.added
-        if integ.dec_period > 0 and step % integ.dec_period == 0:
+        if config.dec_period > 0 and step % config.dec_period == 0:
             spurious += min(window, rec.removed)
             window = 0
 
     # the decision closest to its threshold: the smallest relative margin
     # |normal_norm - eps_inc| / eps_inc over the steps that computed a normal
     margins = [
-        (abs(rec.normal_norm - integ.eps_inc) / integ.eps_inc, step)
+        (abs(rec.normal_norm - config.eps_inc) / config.eps_inc, step)
         for step, rec in enumerate(state.logs, start=1)
-        if rec.normal_norm is not None and 0 < integ.eps_inc < math.inf
+        if rec.normal_norm is not None and 0 < config.eps_inc < math.inf
     ]
     margin, margin_step = min(margins, default=(None, None))
 

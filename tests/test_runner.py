@@ -19,7 +19,10 @@ from fttpde.runner import ConfigError, RunConfig, parse_config, run_experiment
 
 def write_cfg(tmp_path, text, name="run.cfg"):
     path = tmp_path / name
-    path.write_text(text)
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    else:
+        path.write_text(text)
     return path
 
 
@@ -79,6 +82,11 @@ def test_parse_missing_file(tmp_path):
         parse_config(tmp_path / "absent.cfg")
 
 
+def test_parse_unreadable_file(tmp_path):
+    with pytest.raises(ConfigError, match="cannot read config file"):
+        parse_config(tmp_path)
+
+
 def test_parse_duplicate_key(tmp_path):
     path = write_cfg(tmp_path, SMALL_ADVECTION + "\ndt = 1e-4\n")
     with pytest.raises(ConfigError, match="duplicate"):
@@ -93,15 +101,6 @@ def test_parse_max_ranks(tmp_path):
 def test_parse_inf_threshold(tmp_path):
     path = write_cfg(tmp_path, "problem = advection2d\ndt = 1e-3\nt_final = 0.01\neps_inc = inf\n")
     assert math.isinf(parse_config(path).eps_inc)
-
-
-def test_run_config_defaults_match_integrator_config():
-    # runner and integrators each state these defaults: a CLI run and a
-    # library run of the same settings agree only while they are equal
-    shared = ("eps_inc", "eps_dec", "dec_period", "bdf_points")
-    run = {f.name: f.default for f in fields(RunConfig)}
-    lib = {f.name: f.default for f in fields(IntegratorConfig)}
-    assert [run[k] for k in shared] == [lib[k] for k in shared]
 
 
 # ---------------------------------------------------------------------------
@@ -143,6 +142,7 @@ def test_kse_preset_values():
 def test_all_presets_parse():
     for name in preset_names():
         cfg = parse_config(preset_path(name))
+        assert isinstance(cfg, IntegratorConfig)
         assert cfg.dt > 0 and cfg.t_final > 0
 
 
@@ -454,9 +454,10 @@ def test_cli_bad_config_exit_code(tmp_path, capsys):
          "whole number of steps"),
         ("problem = advection2d\ndt = 1e-3\nt_final = 0.01\n"
          "n = 10000000\n", "grid too large"),
+        (b"problem = fp4d\xff\n", "cannot read config file: 'utf-8' codec can't decode"),
     ],
     ids=["max_ranks_length", "too_few_points", "unknown_scheme", "fractional_steps",
-         "oversize_grid"],
+         "oversize_grid", "not_utf8"],
 )
 def test_cli_rejects_invalid_config_before_writing(tmp_path, capsys, text, message):
     cfg = write_cfg(tmp_path, text)
@@ -499,10 +500,11 @@ BAD_SETTINGS = pytest.mark.parametrize(
         ("dec_period = -1", "dec_period"),
         ("snapshot_every = -1", "snapshot_every"),
         ("reference_dt = inf", "reference_dt"),
+        ("t_final = 0.0026", "t_final"),
     ],
     ids=[
         "eps_dec_nan", "eps_inc_nan", "dt_inf", "dec_period_negative", "snapshot_every_negative",
-        "reference_dt_inf",
+        "reference_dt_inf", "fractional_steps",
     ],
 )
 
@@ -515,10 +517,18 @@ def bad_settings_config(tmp_path, line):
 
 @BAD_SETTINGS
 def test_run_experiment_rejects_non_finite_and_negative_settings(tmp_path, line, key):
-    config = parse_config(bad_settings_config(tmp_path, line))
+    # parse_config refuses the values, so no run starts
     with pytest.raises(ConfigError, match=key):
-        run_experiment(config, output_dir=tmp_path / "out")
+        run_experiment(parse_config(bad_settings_config(tmp_path, line)), tmp_path / "out")
     assert not (tmp_path / "out").exists()
+
+
+@BAD_SETTINGS
+def test_run_config_checks_its_own_values(line, key):
+    # a library caller gets the ValueError that parse_config turns into ConfigError
+    settings = {"problem": "advection2d", "dt": 1e-3, "t_final": 5e-3}
+    with pytest.raises(ValueError, match=key):
+        RunConfig(**{**settings, key: float(line.partition(" = ")[2])})
 
 
 @BAD_SETTINGS
@@ -531,6 +541,25 @@ def test_cli_rejects_non_finite_and_negative_settings(tmp_path, capsys, line, ke
     assert key in captured.err
     assert "Traceback" not in captured.err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("via", ["flag", "key"])
+def test_cli_rejects_an_output_dir_that_is_a_file(tmp_path, capsys, via):
+    afile = tmp_path / "afile"
+    afile.write_text("kept\n")
+    text = SMALL_ADVECTION.replace("t_final = 0.02", "t_final = 0.005")
+    if via == "key":
+        text += f"output_dir = {afile}\n"
+    cfg = write_cfg(tmp_path, text)
+    flag = ["--output-dir", str(afile)] if via == "flag" else []
+    assert cli_main(["run", str(cfg), *flag]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {cfg}: ")
+    assert len(captured.err.splitlines()) == 1
+    assert "Traceback" not in captured.err
+    assert afile.read_text() == "kept\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "run.cfg"]
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
