@@ -30,7 +30,10 @@ reports each side's cost: `wall_time_s`, `reference_s` (the time spent in
 the reference solution) and `phase_s` (the time per step phase) from its
 `summary.json`, and the peak RSS of its own process in MB (from that
 process's rusage).  The two sides run at the same time, so the times are
-indicative only.  Exits 1 if any run failed, else 0.
+indicative only.  Before the presets it prints each tree's `src_lines`, the
+line count of its `fttpde/*.py` (as `wc -l` counts them), so that one
+command shows both whether a change kept the bytes and how many lines it
+added or removed.  Exits 1 if any run failed, else 0.
 """
 
 import argparse
@@ -204,6 +207,11 @@ def compare(name: str, parent: tuple[Path, float], change: tuple[Path, float]) -
     }
 
 
+def src_lines(src: Path) -> int:
+    """Line count of the tree's `fttpde/*.py`."""
+    return sum(f.read_bytes().count(b"\n") for f in (src / "fttpde").glob("*.py"))
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
@@ -213,6 +221,7 @@ def main() -> int:
     args = ap.parse_args()
     trees = (args.parent_src.resolve(), args.change_src.resolve())
     names = sorted(p.stem for p in (trees[1] / "fttpde" / "presets").glob("*.cfg"))
+    print(json.dumps({"src_lines": [src_lines(tree) for tree in trees]}), flush=True)
     failed = False
     with tempfile.TemporaryDirectory() as tmp, \
             concurrent.futures.ThreadPoolExecutor(max_workers=2) as pool:

@@ -33,19 +33,16 @@ class FttTensor:
 
     Operations never mutate their inputs or write into core arrays; results
     may share unchanged cores with their inputs.
-    ``right_orth_from`` records that cores R..d (1-based) are known
-    weighted-orthonormal from the right; it is a hint that lets downstream
-    sweeps skip re-orthogonalization.
+    ``right_orth`` records that cores 2..d are known weighted-orthonormal
+    from the right; it is a hint that lets `orthogonalize` skip its sweep.
     """
 
     cores: list[np.ndarray]
     domain: Domain
-    right_orth_from: int = -1
+    right_orth: bool = False
 
     def __post_init__(self):
         d = self.domain.ndim
-        if self.right_orth_from == -1:
-            self.right_orth_from = d + 1
         if len(self.cores) != d:
             raise ShapeError(f"expected {d} cores, got {len(self.cores)}")
         r_prev = 1
@@ -108,45 +105,19 @@ def qr_core(core: np.ndarray, weights: np.ndarray, side: str = "left"):
     raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
 
-def orthogonalize(u: FttTensor, direction: str, pivot: int):
-    """QR-sweep orthogonalization.
-
-    direction='left': cores 1..pivot become weighted-orthonormal; the R
-    factor carried past the pivot is returned and, when pivot < d, also
-    absorbed into core pivot+1 so the returned tensor represents u exactly.
-    With pivot == d all cores are orthonormal and u == R[0,0] * result.
-    direction='right' is the mirror image (full orthogonalization at
-    pivot == 1).
-    """
-    d = u.ndim
-    if not 1 <= pivot <= d:
-        raise ValueError(f"pivot {pivot} out of range 1..{d}")
-    cores = list(u.cores)
-    if direction == "left":
-        r = np.eye(1)
-        for k in range(pivot):
-            q, r = qr_core(cores[k], u.domain.axes[k].weights, "left")
-            cores[k] = q
-            if k + 1 < d:
-                cores[k + 1] = np.tensordot(r, cores[k + 1], axes=(1, 0))
-        return FttTensor(cores, u.domain), r
-    if direction == "right":
-        r = np.eye(1)
-        for k in range(d - 1, pivot - 2, -1):
-            q, r = qr_core(cores[k], u.domain.axes[k].weights, "right")
-            cores[k] = q
-            if k > 0:
-                cores[k - 1] = np.tensordot(cores[k - 1], r, axes=(2, 1))
-        out = FttTensor(cores, u.domain, right_orth_from=pivot)
-        return out, r
-    raise ValueError(f"direction must be 'left' or 'right', got {direction!r}")
-
-
-def _right_orthogonalized(u: FttTensor) -> FttTensor:
-    if u.right_orth_from <= 2:
+def orthogonalize(u: FttTensor) -> FttTensor:
+    """Right-orthogonal gauge: u with cores 2..d weighted-orthonormal from
+    the right, by a QR sweep from core d down to core 2 whose R factors
+    are absorbed into the core on their left.  Returns u itself when it is
+    flagged right_orth."""
+    if u.right_orth:
         return u
-    v, _ = orthogonalize(u, "right", 2)
-    return v
+    cores = list(u.cores)
+    for k in range(u.ndim - 1, 0, -1):
+        q, r = qr_core(cores[k], u.domain.axes[k].weights, "right")
+        cores[k] = q
+        cores[k - 1] = np.tensordot(cores[k - 1], r, axes=(2, 1))
+    return FttTensor(cores, u.domain, right_orth=True)
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +193,7 @@ def to_full(u: FttTensor) -> np.ndarray:
 def scale(a: FttTensor, c: float) -> FttTensor:
     """Multiply by a scalar by scaling the first core only."""
     cores = [a.cores[0] * c, *a.cores[1:]]
-    return FttTensor(cores, a.domain, right_orth_from=a.right_orth_from)
+    return FttTensor(cores, a.domain, right_orth=a.right_orth)
 
 
 def add(a: FttTensor, b: FttTensor) -> FttTensor:
@@ -269,7 +240,7 @@ def inner(a: FttTensor, b: FttTensor) -> float:
 
 def norm(a: FttTensor) -> float:
     """Weighted L2 norm, read off the first core of the right-orthogonal gauge."""
-    return float(_first_core_norm(_right_orthogonalized(a)))
+    return float(_first_core_norm(orthogonalize(a)))
 
 
 def _first_core_norm(v: FttTensor):
@@ -296,7 +267,7 @@ def truncate(u: FttTensor, tol: float, max_ranks=None):
     The per-interface threshold is tol*||u||/sqrt(d-1).
     """
     d = u.ndim
-    v = _right_orthogonalized(u)
+    v = orthogonalize(u)
     nrm = _first_core_norm(v)
     if nrm == 0.0:
         return _zero_like(u.domain), [np.zeros(1) for _ in range(d - 1)]
@@ -433,12 +404,11 @@ def zero_pad(u: FttTensor, normal: FttTensor, tol: float) -> FttTensor:
     above it, and the right sweep here or the next left sweep drops that
     mode again.  The padded tensor is right-orthogonalized down to core 2,
     so cores 2..d hold the rounded normal's directions beside u's,
-    right-orthonormal, and the zero coefficients sit in core 1 only
-    (right_orth_from = 2).
+    right-orthonormal (flagged right_orth), and the zero coefficients sit
+    in core 1 only.
     """
     _check_same_domain(u, normal)
     free = [max(c - r, 1) for c, r in zip(_max_interface_ranks(u.domain), u.ranks)]
     template, _ = truncate(normal, tol, max_ranks=free)
     padded = add(u, scale(template, 0.0))
-    out, _ = orthogonalize(padded, "right", 2)
-    return out
+    return orthogonalize(padded)

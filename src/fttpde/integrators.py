@@ -3,7 +3,6 @@ adaptive rank controller."""
 
 from __future__ import annotations
 
-import logging
 import math
 import time
 from dataclasses import dataclass, field
@@ -13,9 +12,9 @@ import numpy as np
 from .ftt import (
     FttTensor,
     _check_same_domain,
-    _right_orthogonalized,
     add,
     norm,
+    orthogonalize,
     qr_core,
     scale,
     sketch_truncate,
@@ -23,8 +22,6 @@ from .ftt import (
     zero_pad,
 )
 from .operators import Rhs, eval_rhs
-
-logger = logging.getLogger(__name__)
 
 # backward-difference weights per number of points, newest snapshot first:
 # the velocity estimate is sum_k c_k u_{i-k} / dt
@@ -86,13 +83,12 @@ class AdaptiveState:
     u: FttTensor
     # the last bdf_points states, oldest first; step k's state is at k * dt
     history: list[FttTensor] = field(default_factory=list)
-    prev_tangent: FttTensor | None = None
     # one record per step taken, so len(logs) is the step count
     logs: list[StepRecord] = field(default_factory=list)
-    eps_inc_warned: bool = False
-    # ranks of the last rounded right-hand side: the rank hint of the next
-    # evaluation (None until the first one)
+    # ranks of the last rounded right-hand side and of the last tangent
+    # estimate: the rank hints of the next ones (None until the first one)
     g_ranks: tuple[int, ...] | None = None
+    tangent_ranks: tuple[int, ...] | None = None
     # seconds adaptive_step spent in each of PHASES, summed over the steps
     phase_s: dict[str, float] = field(default_factory=lambda: dict.fromkeys(PHASES, 0.0))
 
@@ -116,7 +112,7 @@ def lie_trotter_step(u: FttTensor, delta_u: FttTensor) -> FttTensor:
     """
     _check_same_domain(u, delta_u)
     d = u.ndim
-    v = _right_orthogonalized(u)
+    v = orthogonalize(u)
     weights = [g.weights for g in u.domain.axes]
     dcores = delta_u.cores
 
@@ -176,7 +172,7 @@ def normal_component(g: FttTensor, tangent_est: FttTensor) -> tuple[FttTensor, f
     """Residual of the velocity after removing the estimated tangential
     part, right-orthogonalized down to core 2 so that its norm is read off
     the first core and rounding it skips its own sweep."""
-    n_t = _right_orthogonalized(add(g, scale(tangent_est, -1.0)))
+    n_t = orthogonalize(add(g, scale(tangent_est, -1.0)))
     return n_t, norm(n_t)
 
 
@@ -212,26 +208,11 @@ def adaptive_step(state: AdaptiveState, rhs: Rhs, config: IntegratorConfig) -> A
     added = removed = 0
 
     p_eff = min(config.bdf_points, len(state.history))
-    tangent = None
+    tangent_ranks = None
     if p_eff >= 2:
-        hint = None if state.prev_tangent is None else state.prev_tangent.ranks
-        tangent = bdf_tangent_estimate(state.history, p_eff, dt, hint)
+        tangent = bdf_tangent_estimate(state.history, p_eff, dt, state.tangent_ranks)
+        tangent_ranks = tangent.ranks
         n_tensor, normal_norm = normal_component(g, tangent)
-        if (
-            state.prev_tangent is not None
-            and not state.eps_inc_warned
-            and math.isfinite(config.eps_inc)
-        ):
-            drift = norm(add(tangent, scale(state.prev_tangent, -1.0)))
-            est_err = drift / p_eff
-            if config.eps_inc < 10.0 * est_err:
-                logger.warning(
-                    "eps_inc=%.3g is below 10x the backward-difference error "
-                    "estimate %.3g; spurious mode additions are possible",
-                    config.eps_inc,
-                    est_err,
-                )
-                state.eps_inc_warned = True
         lap("estimate")
 
     padded = normal_norm is not None and normal_norm > config.eps_inc
@@ -259,7 +240,7 @@ def adaptive_step(state: AdaptiveState, rhs: Rhs, config: IntegratorConfig) -> A
         lap("dec")
 
     state.u = u_new
-    state.prev_tangent = tangent
+    state.tangent_ranks = tangent_ranks
     state.g_ranks = g.ranks
     state.history.append(u_new)
     del state.history[: -config.bdf_points]

@@ -133,10 +133,6 @@ def run_experiment(config: RunConfig, output_dir=None) -> dict:
     problem = _validated_setup(config)
     n_steps = round(config.t_final / config.dt)
     out = Path(output_dir or config.output_dir or ".")
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot create output directory {str(out)!r}: {exc.strerror}") from exc
     dom = problem.domain
     d = dom.ndim
 
@@ -148,7 +144,12 @@ def run_experiment(config: RunConfig, output_dir=None) -> dict:
     snap_every = config.snapshot_every if config.snapshot_every > 0 else n_steps
     blas_threads = os.environ.get("OPENBLAS_NUM_THREADS", "unset")
 
-    with open(out / "run.log", "w") as fh:
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        log = open(out / "run.log", "w")
+    except OSError as exc:
+        raise ConfigError(f"cannot write output directory {str(out)!r}: {exc.strerror}") from exc
+    with log as fh:
         for f in fields(config):
             fh.write(f"{f.name} = {getattr(config, f.name)}\n")
         for key, val in problem.params.items():

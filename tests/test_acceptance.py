@@ -92,10 +92,13 @@ def test_criterion_1_ftt_algebra():
         if weighted_dense_norm(to_full(u) - dense, dom) > 1e-10 * dnorm:
             issues.append(f"round trip d={d}")
 
-        v, _ = F.orthogonalize(u, "left", d)
-        for k in range(d):
-            g = dom.axes[k].weights
-            gram = np.einsum("aib,aic,i->bc", v.cores[k], v.cores[k], g)
+        # from_full's cores 1..d-1 are left-orthonormal, orthogonalize's
+        # cores 2..d right-orthonormal
+        v = F.orthogonalize(u)
+        grams = [("aib,aic,i->bc", u.cores[k], k) for k in range(d - 1)]
+        grams += [("bia,cia,i->bc", v.cores[k], k) for k in range(1, d)]
+        for spec, core, k in grams:
+            gram = np.einsum(spec, core, core, dom.axes[k].weights)
             if np.max(np.abs(gram - np.eye(gram.shape[0]))) > 1e-10:
                 issues.append(f"orthogonality d={d} core={k}")
 

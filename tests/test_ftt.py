@@ -163,28 +163,10 @@ def test_qr_core_rank_deficient(rng):
 # ---------------------------------------------------------------------------
 # orthogonalize
 
-def test_orthogonalize_partial_left(dom3, rng):
-    u = random_ftt(dom3, (1, 3, 2, 1), rng)
-    v, _ = orthogonalize(u, "left", 2)
-    for k in range(2):
-        dev = np.max(np.abs(gram(v.cores[k], dom3.axes[k].weights) - np.eye(v.cores[k].shape[2])))
-        assert dev <= 1e-12
-    assert np.max(np.abs(to_full(v) - to_full(u))) <= 1e-12 * np.max(np.abs(to_full(u)))
-
-
-def test_orthogonalize_full_left_all_cores(dom3, rng):
-    u = random_ftt(dom3, (1, 3, 2, 1), rng)
-    v, r = orthogonalize(u, "left", 3)
-    for k in range(3):
-        dev = np.max(np.abs(gram(v.cores[k], dom3.axes[k].weights) - np.eye(v.cores[k].shape[2])))
-        assert dev <= 1e-12
-    # u = r[0,0] * v
-    assert np.max(np.abs(r[0, 0] * to_full(v) - to_full(u))) <= 1e-10
-
-
 def test_orthogonalize_right_full(dom3, rng):
     u = random_ftt(dom3, (1, 2, 3, 1), rng)
-    v, _ = orthogonalize(u, "right", 2)
+    v = orthogonalize(u)
+    assert v.right_orth
     for k in (1, 2):
         dev = np.max(
             np.abs(right_gram(v.cores[k], dom3.axes[k].weights) - np.eye(v.cores[k].shape[0]))
@@ -193,27 +175,24 @@ def test_orthogonalize_right_full(dom3, rng):
     assert np.max(np.abs(to_full(v) - to_full(u))) <= 1e-12 * np.max(np.abs(to_full(u)))
 
 
-def test_orthogonalize_idempotent_on_left_orthogonal(dom3, rng):
-    # re-orthogonalizing an already left-orthogonal train reproduces the
-    # cores themselves (nonnegative-diagonal R makes the factors unique)
-    u = from_full(rng.standard_normal(dom3.shape), dom3, 0.0)
-    v, _ = orthogonalize(u, "left", 2)
+def test_right_orth_flag_contract(dom3, rng):
+    u = orthogonalize(random_ftt(dom3, (1, 2, 3, 1), rng))
+    assert orthogonalize(u) is u
+    # re-orthogonalizing the same cores without the flag reproduces them
+    # (nonnegative-diagonal R makes the factors unique)
+    bare = FttTensor(u.cores, dom3)
+    assert not bare.right_orth
+    v = orthogonalize(bare)
     for cu, cv in zip(u.cores, v.cores):
         assert np.max(np.abs(cu - cv)) <= 1e-12
-
-
-def test_orthogonalize_pivot_out_of_range(dom2, rng):
-    u = random_ftt(dom2, (1, 2, 1), rng)
-    with pytest.raises(ValueError):
-        orthogonalize(u, "left", 0)
-    with pytest.raises(ValueError):
-        orthogonalize(u, "left", 3)
+    # scaling touches core 1 only; a sum or product has new cores 2..d
+    assert scale(u, -2.0).right_orth
+    assert not add(u, u).right_orth
+    assert not hadamard(u, u).right_orth
 
 
 def test_unknown_orthogonalization_side(dom2, rng):
     u = random_ftt(dom2, (1, 2, 1), rng)
-    with pytest.raises(ValueError, match="direction"):
-        orthogonalize(u, "up", 1)
     with pytest.raises(ValueError, match="side"):
         qr_core(u.cores[0], dom2.axes[0].weights, "up")
 
@@ -225,8 +204,7 @@ def test_cores_come_out_in_c_order(dom3, rng):
     u = FttTensor([np.asfortranarray(c) for c in u.cores], dom3)
     w = dom3.axes[1].weights
     outs = [qr_core(u.cores[1], w, side)[0] for side in ("left", "right")]
-    for direction, pivot in (("left", 3), ("left", 2), ("right", 1), ("right", 2)):
-        outs += orthogonalize(u, direction, pivot)[0].cores
+    outs += orthogonalize(u).cores
     for tol in (0.0, 0.5):
         outs += truncate(u, tol)[0].cores
     assert all(c.flags.c_contiguous for c in outs)
@@ -603,7 +581,7 @@ def test_zero_pad_values_and_ranks(dom3, rng):
     assert np.max(np.abs(to_full(p) - to_full(u))) <= 1e-12 * np.max(np.abs(to_full(u)))
     assert abs(norm(p) - norm(u)) <= 1e-12 * norm(u)
     # cores 2..d are right-orthonormal, and the train says so
-    assert p.right_orth_from == 2
+    assert p.right_orth
     for k in (1, 2):
         dev = np.max(np.abs(right_gram(p.cores[k], dom3.axes[k].weights) - np.eye(p.ranks[k])))
         assert dev <= 1e-10
@@ -665,9 +643,8 @@ def test_orthogonalize_preserves_values_property(seed, d):
     ranks = (1,) + tuple(int(r) for r in rng.integers(1, 4, d - 1)) + (1,)
     u = random_ftt(dom, ranks, rng)
     dense = to_full(u)
-    for direction, pivot in (("left", d - 1), ("right", 2), ("left", 1)):
-        v, _ = orthogonalize(u, direction, pivot)
-        assert np.max(np.abs(to_full(v) - dense)) <= 1e-11 * max(1.0, np.max(np.abs(dense)))
+    v = orthogonalize(u)
+    assert np.max(np.abs(to_full(v) - dense)) <= 1e-11 * max(1.0, np.max(np.abs(dense)))
 
 
 @given(seed=st.integers(0, 2**32 - 1), c=st.floats(-5.0, 5.0))

@@ -545,21 +545,28 @@ def test_cli_rejects_non_finite_and_negative_settings(tmp_path, capsys, line, ke
 
 @pytest.mark.parametrize("via", ["flag", "key"])
 def test_cli_rejects_an_output_dir_that_is_a_file(tmp_path, capsys, via):
-    afile = tmp_path / "afile"
+    # an output path that is a file, and one whose run.log is a directory
+    afile = tmp_path / "file" / "afile"
+    afile.parent.mkdir()
     afile.write_text("kept\n")
-    text = SMALL_ADVECTION.replace("t_final = 0.02", "t_final = 0.005")
-    if via == "key":
-        text += f"output_dir = {afile}\n"
-    cfg = write_cfg(tmp_path, text)
-    flag = ["--output-dir", str(afile)] if via == "flag" else []
-    assert cli_main(["run", str(cfg), *flag]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith(f"error: {cfg}: ")
-    assert len(captured.err.splitlines()) == 1
-    assert "Traceback" not in captured.err
+    held = tmp_path / "dir" / "o"
+    (held / "run.log").mkdir(parents=True)
+    for out in (afile, held):
+        text = SMALL_ADVECTION.replace("t_final = 0.02", "t_final = 0.005")
+        if via == "key":
+            text += f"output_dir = {out}\n"
+        cfg = write_cfg(out.parent, text)
+        flag = ["--output-dir", str(out)] if via == "flag" else []
+        assert cli_main(["run", str(cfg), *flag]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {cfg}: ")
+        assert len(captured.err.splitlines()) == 1
+        assert "Traceback" not in captured.err
+        assert sorted(p.name for p in out.parent.iterdir()) == [out.name, "run.cfg"]
     assert afile.read_text() == "kept\n"
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "run.cfg"]
+    assert [p.name for p in held.iterdir()] == ["run.log"]
+    assert list((held / "run.log").iterdir()) == []
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
