@@ -32,10 +32,11 @@ BDF_COEFFS = {2: (1.0, -1.0), 3: (1.5, -2.0, 0.5)}
 # the periodic removal
 PHASES = ("rhs", "estimate", "pad", "sweep", "dec")
 
-# an addition rounds the normal N at max(PAD_FLOOR, min(PAD_CAP, PAD_SAFETY *
-# eps_inc / |N|)): where the middle term is active it leaves out at most
-# PAD_SAFETY * eps_inc of N, which keeps the first-order normal under eps_inc
-PAD_FLOOR, PAD_CAP, PAD_SAFETY = 1e-2, 0.9, 0.5
+# an addition rounds the normal N at max(PAD_FLOOR, PAD_SAFETY * eps_inc / |N|):
+# where the second term is active it leaves out at most PAD_SAFETY * eps_inc
+# of N, which keeps the first-order normal under eps_inc; a step pads only
+# when |N| > eps_inc, so the tolerance stays below PAD_SAFETY
+PAD_FLOOR, PAD_SAFETY = 1e-2, 0.5
 
 
 class HistoryNotReadyError(RuntimeError):
@@ -218,7 +219,7 @@ def adaptive_step(state: AdaptiveState, rhs: Rhs, config: IntegratorConfig) -> A
     padded = normal_norm is not None and normal_norm > config.eps_inc
     if padded:
         before = _interior_rank_sum(u)
-        pad_tol = max(PAD_FLOOR, min(PAD_CAP, PAD_SAFETY * config.eps_inc / normal_norm))
+        pad_tol = max(PAD_FLOOR, PAD_SAFETY * config.eps_inc / normal_norm)
         u = zero_pad(u, n_tensor, pad_tol)
         lap("pad")
         # the padded train is the same function, so G's ranks are too

@@ -13,7 +13,7 @@ from typing import ClassVar
 import numpy as np
 
 from .ftt import to_full, truncate
-from .integrators import AdaptiveState, IntegratorConfig, adaptive_step
+from .integrators import AdaptiveState, IntegratorConfig, StepRecord, adaptive_step
 from .problems import build_problem, l2_error
 from . import snapshots
 
@@ -128,39 +128,24 @@ def run_experiment(config: RunConfig, output_dir=None) -> dict:
 
     Returns the summary dict; summary["status"] is "ok" on completion and
     "nan" if the solution left the finite range (the last finite state is
-    preserved as snapshot_lastgood.fttsnap)."""
+    preserved as snapshot_lastgood.fttsnap).  A file that cannot be written
+    raises ConfigError naming its path; the files written before it stay."""
     t_start = time.perf_counter()
     problem = _validated_setup(config)
     n_steps = round(config.t_final / config.dt)
     out = Path(output_dir or config.output_dir or ".")
     dom = problem.domain
-    d = dom.ndim
 
     u0 = problem.initial
     if config.max_ranks is not None:
         u0, _ = truncate(u0, 0.0, max_ranks=config.max_ranks)
 
     reference = problem.reference if config.reference else None
-    snap_every = config.snapshot_every if config.snapshot_every > 0 else n_steps
+    # step 0 is a snapshot step; a zero-step run must not take a modulo by 0
+    snap_every = config.snapshot_every or max(n_steps, 1)
     blas_threads = os.environ.get("OPENBLAS_NUM_THREADS", "unset")
 
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-        log = open(out / "run.log", "w")
-    except OSError as exc:
-        raise ConfigError(f"cannot write output directory {str(out)!r}: {exc.strerror}") from exc
-    with log as fh:
-        for f in fields(config):
-            fh.write(f"{f.name} = {getattr(config, f.name)}\n")
-        for key, val in problem.params.items():
-            fh.write(f"param:{key} = {val}\n")
-        fh.write(f"grid = {'x'.join(str(n) for n in dom.shape)}\n")
-        fh.write(f"n_steps = {n_steps}\n")
-        fh.write(f"numpy = {np.__version__}\n")
-        fh.write(f"blas_threads = {blas_threads}\n")
-
-    header = ["t", "l2_error", "normal_norm"] + [f"r{k}" for k in range(d + 1)] + ["event"]
-    sv_rows = ["t,interface,index,sigma"]
+    header = ["t", "l2_error", "normal_norm", *(f"r{k}" for k in range(dom.ndim + 1)), "event"]
     state = AdaptiveState.initial(u0)
     status = "ok"
     g_rank_max = 0
@@ -175,104 +160,111 @@ def run_experiment(config: RunConfig, output_dir=None) -> dict:
         reference_s += time.perf_counter() - t_ref
         return l2_error(to_full(u), exact, dom)
 
-    def record_snapshot(u, t, step):
+    def record_snapshot(u, t, step, sv_fh):
         nonlocal snapshot_s
         t_snap = time.perf_counter()
         snapshots.save(u, out / f"snapshot_{step:08d}.fttsnap")
         _, schmidt = truncate(u, 0.0)
         for iface, svec in enumerate(schmidt, start=1):
             for idx, sigma in enumerate(svec):
-                sv_rows.append(f"{_fmt(t)},{iface},{idx},{_fmt(sigma)}")
+                sv_fh.write(f"{_fmt(t)},{iface},{idx},{_fmt(sigma)}\n")
         snapshot_s += time.perf_counter() - t_snap
 
-    with open(out / "timeseries.csv", "w", newline="") as csv_fh:
-        csv_fh.write(",".join(header) + "\n")
-        err0 = measure_error(u0, 0.0)
-        last_error = err0
-        row = [_fmt(0.0), _fmt(err0), ""] + [str(r) for r in u0.ranks] + ["none"]
-        csv_fh.write(",".join(row) + "\n")
-        record_snapshot(u0, 0.0, 0)
+    # every file the run writes is under this one guard
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        with open(out / "run.log", "w") as fh:
+            for f in fields(config):
+                fh.write(f"{f.name} = {getattr(config, f.name)}\n")
+            for key, val in problem.params.items():
+                fh.write(f"param:{key} = {val}\n")
+            fh.write(f"grid = {'x'.join(str(n) for n in dom.shape)}\n")
+            fh.write(f"n_steps = {n_steps}\n")
+            fh.write(f"numpy = {np.__version__}\n")
+            fh.write(f"blas_threads = {blas_threads}\n")
 
-        final_u = u0
-        for step in range(1, n_steps + 1):
-            try:
-                state = adaptive_step(state, problem.rhs, config)
-                blown_up = not _tensor_is_finite(state.u)
-            except np.linalg.LinAlgError:
-                # overflow can surface as a non-converging SVD before the
-                # finiteness check sees the state
-                blown_up = True
-            if blown_up:
-                del state.logs[step - 1 :]  # the failed step may have logged a record
-                snapshots.save(final_u, out / "snapshot_lastgood.fttsnap")
-                status = "nan"
-                break
-            final_u = state.u
-            t = step * config.dt
-            rec = state.logs[-1]
-            g_rank_max = max(g_rank_max, *state.g_ranks[1:-1])
-            err = None
-            if step % snap_every == 0 or step == n_steps:
-                err = measure_error(state.u, t)
-                last_error = err
-                record_snapshot(state.u, t, step)
-            row = (
-                [_fmt(t), _fmt(err), _fmt(rec.normal_norm)]
-                + [str(r) for r in rec.ranks]
-                + [rec.event]
-            )
-            csv_fh.write(",".join(row) + "\n")
+        with (
+            open(out / "timeseries.csv", "w", newline="") as csv_fh,
+            open(out / "singular_values.csv", "w") as sv_fh,
+        ):
+            csv_fh.write(",".join(header) + "\n")
+            sv_fh.write("t,interface,index,sigma\n")
+            u, rec = u0, StepRecord(u0.ranks, None, "none")
+            for step in range(n_steps + 1):
+                if step > 0:
+                    try:
+                        state = adaptive_step(state, problem.rhs, config)
+                        blown_up = not _tensor_is_finite(state.u)
+                    except np.linalg.LinAlgError:
+                        # overflow can surface as a non-converging SVD before
+                        # the finiteness check sees the state
+                        blown_up = True
+                    if blown_up:
+                        del state.logs[step - 1 :]  # the failed step may have logged a record
+                        snapshots.save(u, out / "snapshot_lastgood.fttsnap")
+                        status = "nan"
+                        break
+                    u, rec = state.u, state.logs[-1]
+                    g_rank_max = max(g_rank_max, *state.g_ranks[1:-1])
+                t = step * config.dt
+                err = None
+                if step % snap_every == 0 or step == n_steps:
+                    err = last_error = measure_error(u, t)
+                    record_snapshot(u, t, step, sv_fh)
+                row = [_fmt(t), _fmt(err), _fmt(rec.normal_norm), *map(str, rec.ranks), rec.event]
+                csv_fh.write(",".join(row) + "\n")
 
-    (out / "singular_values.csv").write_text("\n".join(sv_rows) + "\n")
-    steps_done = len(state.logs)
-    incs = [rec.added for rec in state.logs if rec.event.startswith("inc:")]
-    decs = [rec.removed for rec in state.logs if rec.removed > 0]
-    # modes added and then removed again: per removal window, the smaller of
-    # the modes added in it and the modes its sweep removed
-    spurious = window = 0
-    for step, rec in enumerate(state.logs, start=1):
-        window += rec.added
-        if config.dec_period > 0 and step % config.dec_period == 0:
-            spurious += min(window, rec.removed)
-            window = 0
+        steps_done = len(state.logs)
+        incs = [rec.added for rec in state.logs if rec.event.startswith("inc:")]
+        decs = [rec.removed for rec in state.logs if rec.removed > 0]
+        # modes added and then removed again: per removal window, the smaller of
+        # the modes added in it and the modes its sweep removed
+        spurious = window = 0
+        for step, rec in enumerate(state.logs, start=1):
+            window += rec.added
+            if config.dec_period > 0 and step % config.dec_period == 0:
+                spurious += min(window, rec.removed)
+                window = 0
 
-    # the decision closest to its threshold: the smallest relative margin
-    # |normal_norm - eps_inc| / eps_inc over the steps that computed a normal
-    margins = [
-        (abs(rec.normal_norm - config.eps_inc) / config.eps_inc, step)
-        for step, rec in enumerate(state.logs, start=1)
-        if rec.normal_norm is not None and 0 < config.eps_inc < math.inf
-    ]
-    margin, margin_step = min(margins, default=(None, None))
+        # the decision closest to its threshold: the smallest relative margin
+        # |normal_norm - eps_inc| / eps_inc over the steps that computed a normal
+        margins = [
+            (abs(rec.normal_norm - config.eps_inc) / config.eps_inc, step)
+            for step, rec in enumerate(state.logs, start=1)
+            if rec.normal_norm is not None and 0 < config.eps_inc < math.inf
+        ]
+        margin, margin_step = min(margins, default=(None, None))
 
-    summary = {
-        "problem": config.problem,
-        "dt": config.dt,
-        "t_final": config.t_final,
-        "eps_inc": config.eps_inc if math.isfinite(config.eps_inc) else "inf",
-        "eps_dec": config.eps_dec,
-        "status": status,
-        "steps_completed": steps_done,
-        "final_t": steps_done * config.dt,
-        "final_ranks": list(final_u.ranks),
-        "final_error": last_error,
-        "inc_events": len(incs),
-        "dec_events": len(decs),
-        "modes_added": sum(incs),
-        "modes_removed": sum(decs),
-        "spurious_modes": spurious,
-        # one evaluation per step and a second on each addition step
-        "rhs_evals": steps_done + len(incs),
-        "g_rank_max": g_rank_max,
-        "min_threshold_margin": margin,
-        "min_threshold_margin_step": margin_step,
-        "wall_time_s": time.perf_counter() - t_start,
-        "reference_s": reference_s,
-        "snapshot_s": snapshot_s,
-        "phase_s": state.phase_s,
-        "blas_threads": blas_threads,
-    }
-    with open(out / "summary.json", "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        summary = {
+            "problem": config.problem,
+            "dt": config.dt,
+            "t_final": config.t_final,
+            "eps_inc": config.eps_inc if math.isfinite(config.eps_inc) else "inf",
+            "eps_dec": config.eps_dec,
+            "status": status,
+            "steps_completed": steps_done,
+            "final_t": steps_done * config.dt,
+            "final_ranks": list(u.ranks),
+            "final_error": last_error,
+            "inc_events": len(incs),
+            "dec_events": len(decs),
+            "modes_added": sum(incs),
+            "modes_removed": sum(decs),
+            "spurious_modes": spurious,
+            # one evaluation per step and a second on each addition step
+            "rhs_evals": steps_done + len(incs),
+            "g_rank_max": g_rank_max,
+            "min_threshold_margin": margin,
+            "min_threshold_margin_step": margin_step,
+            "wall_time_s": time.perf_counter() - t_start,
+            "reference_s": reference_s,
+            "snapshot_s": snapshot_s,
+            "phase_s": state.phase_s,
+            "blas_threads": blas_threads,
+        }
+        with open(out / "summary.json", "w") as fh:
+            json.dump(summary, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {str(exc.filename or out)!r}: {exc.strerror}") from exc
     return summary

@@ -7,6 +7,8 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import pytest
+
 from fttpde import problems, runner
 from fttpde.cli import preset_path
 
@@ -59,3 +61,31 @@ def test_every_workload_config_shortens_and_reports_its_scheme():
             assert short.t_final == t_final
             assert short.scheme == config.scheme
             assert dataclasses.replace(short, t_final=config.t_final) == config
+
+
+class _FirstStep(Exception):
+    pass
+
+
+def test_set_up_ends_after_the_step_0_error_and_snapshot(tmp_path, monkeypatch):
+    # child.py ends setup_s at the first call of the rebound
+    # runner.adaptive_step: by then step 0's error and snapshot are done
+    requested = []
+    solution = problems.CharacteristicsReference.solution
+
+    def spy(self, t):
+        requested.append(t)
+        return solution(self, t)
+
+    seen = []
+
+    def first_step(state, rhs, cfg):
+        seen.append(((tmp_path / "snapshot_00000000.fttsnap").is_file(), list(requested)))
+        raise _FirstStep
+
+    monkeypatch.setattr(problems.CharacteristicsReference, "solution", spy)
+    monkeypatch.setattr(runner, "adaptive_step", first_step)
+    config = runner.RunConfig(problem="advection2d", dt=1e-3, t_final=2e-3, n=21)
+    with pytest.raises(_FirstStep):
+        runner.run_experiment(config, output_dir=tmp_path)
+    assert seen == [(True, [0.0])]

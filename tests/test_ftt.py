@@ -465,7 +465,7 @@ def test_split_sketch_without_a_hint_truncates_the_formed_product(rng):
 def test_split_sketch_peaks_below_the_formed_product(monkeypatch):
     # every addition pads at the floor tolerance, so the state's ranks
     # (1, 9, 32, 9, 1) make a product well above the sketch's fixed cost
-    monkeypatch.setattr(integrators, "PAD_CAP", integrators.PAD_FLOOR)
+    monkeypatch.setattr(integrators, "PAD_SAFETY", 0.0)
     prob, u, hint = list(fp4d_states(10))[-1]
     assert u.ranks == (1, 9, 32, 9, 1)
     product_bytes = sum(c.nbytes for c in apply_separable(prob.rhs, u).cores)

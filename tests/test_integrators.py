@@ -20,7 +20,6 @@ from fttpde.ftt import (
 from fttpde.grids import torus_domain
 from fttpde.integrators import (
     BDF_COEFFS,
-    PAD_CAP,
     PAD_FLOOR,
     PAD_SAFETY,
     AdaptiveState,
@@ -172,7 +171,7 @@ def sawtooth_state():
     prob = fp4d()
     state = AdaptiveState.initial(prob.initial)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(integrators, "PAD_CAP", integrators.PAD_FLOOR)
+        mp.setattr(integrators, "PAD_SAFETY", 0.0)
         for _ in range(24):
             state = adaptive_step(state, prob.rhs, FP4D_SAWTOOTH)
     return state
@@ -336,7 +335,7 @@ def test_step_after_an_addition_is_continuous_in_g(monkeypatch):
 
 
 def pad_tol(normal_norm, eps_inc):
-    return max(PAD_FLOOR, min(PAD_CAP, PAD_SAFETY * eps_inc / normal_norm))
+    return max(PAD_FLOOR, PAD_SAFETY * eps_inc / normal_norm)
 
 
 def spy_pads(monkeypatch):
@@ -378,7 +377,7 @@ def test_addition_rounds_the_normal_once_within_the_free_ranks(monkeypatch):
 def test_addition_pads_only_what_the_threshold_asks_for(monkeypatch):
     # fp4d n=9 over the sawtooth horizon, across the step-25 removal: each
     # addition rounds the normal at the rule's tolerance, what the template
-    # leaves out is under PAD_SAFETY * eps_inc where the middle term sets
+    # leaves out is under PAD_SAFETY * eps_inc where the second term sets
     # it, and no padded rank exceeds that of the floor tolerance's pad
     prob = fp4d(n=9)
     eps_inc = FP4D_SAWTOOTH.eps_inc
@@ -392,7 +391,7 @@ def test_addition_pads_only_what_the_threshold_asks_for(monkeypatch):
 
     monkeypatch.setattr(ftt, "truncate", spy)
     state = AdaptiveState.initial(prob.initial)
-    middle = 0
+    above_floor = 0
     for _ in range(30):
         count = len(pads)
         roundings.clear()
@@ -402,14 +401,14 @@ def test_addition_pads_only_what_the_threshold_asks_for(monkeypatch):
         u, normal, tol = pads[-1]
         normal_norm = state.logs[-1].normal_norm
         assert tol == pad_tol(normal_norm, eps_inc)
-        if PAD_FLOOR < tol < PAD_CAP:
-            middle += 1
+        if tol > PAD_FLOOR:
+            above_floor += 1
             # zero_pad's one rounding of the normal
             template = next(out for x, out in roundings if x is normal)
             assert norm(add(normal, scale(template, -1.0))) <= PAD_SAFETY * eps_inc
         widest = zero_pad(u, normal, PAD_FLOOR)
         assert all(a <= b for a, b in zip(zero_pad(u, normal, tol).ranks, widest.ranks))
-    assert len(pads) == 29 and middle > 0
+    assert len(pads) == 29 and above_floor > 0
 
 
 def test_no_adaptation_on_first_step(dom2, rng):

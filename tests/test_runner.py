@@ -569,6 +569,45 @@ def test_cli_rejects_an_output_dir_that_is_a_file(tmp_path, capsys, via):
     assert list((held / "run.log").iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "name",
+    ["timeseries.csv", "singular_values.csv", "summary.json", "snapshot_00000000.fttsnap"],
+)
+def test_cli_reports_an_output_file_it_cannot_write(tmp_path, capsys, name):
+    # a directory where the run writes a file: one error line naming it
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)
+    cfg = write_cfg(tmp_path, SMALL_ADVECTION.replace("t_final = 0.02", "t_final = 0.005"))
+    assert cli_main(["run", str(cfg), "--output-dir", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {cfg}: ")
+    assert str(out / name) in captured.err
+    assert len(captured.err.splitlines()) == 1
+    assert "Traceback" not in captured.err
+    assert (out / "run.log").is_file()
+
+
+def test_zero_step_run_records_step_0(tmp_path):
+    text = SMALL_ADVECTION.replace("t_final = 0.02", "t_final = 0").replace(
+        "snapshot_every = 10\n", ""
+    )
+    config = parse_config(write_cfg(tmp_path, text))
+    assert config.snapshot_every == 0
+    summary = run_experiment(config, tmp_path / "out")
+    assert summary["status"] == "ok" and summary["steps_completed"] == 0
+    assert summary["final_error"] is not None
+    rows = (tmp_path / "out" / "timeseries.csv").read_text().splitlines()
+    assert rows[0] == "t,l2_error,normal_norm,r0,r1,r2,event"
+    assert len(rows) == 2 and rows[1].startswith("0.0,") and rows[1].endswith(",,1,15,1,none")
+    assert sorted(p.name for p in (tmp_path / "out").glob("*.fttsnap")) == [
+        "snapshot_00000000.fttsnap"
+    ]
+    sv_rows = (tmp_path / "out" / "singular_values.csv").read_text().splitlines()[1:]
+    assert sv_rows and {row.split(",")[0] for row in sv_rows} == {"0.0"}
+    assert json.loads((tmp_path / "out" / "summary.json").read_text())["steps_completed"] == 0
+
+
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_cli_failed_job_does_not_stop_others(tmp_path, capsys, jobs):
     bad = write_cfg(tmp_path, "problem = advection2d\n", name="bad.cfg")
