@@ -25,7 +25,10 @@ snapshot files byte for byte, and whether both `run.log` files hold the same
 set of `key = value` lines in any order (with the lines only one side
 holds), so that a reordered `run.log` reads apart from a changed value.
 It reports each side's peak interior rank, the largest of r1..r_{d-1} over
-the rows of `timeseries.csv`, as perfbench reads `peak_rank`.  It also
+the rows of `timeseries.csv`, as perfbench reads `peak_rank`, and next to
+it each side's `min_threshold_margin` and its step from `summary.json`, so
+that a report shows how close the nearest rank decision came to its
+threshold.  It also
 reports each side's cost: `wall_time_s`, `reference_s` (the time spent in
 the reference solution) and `phase_s` (the time per step phase) from its
 `summary.json`, and the peak RSS of its own process in MB (from that
@@ -196,6 +199,12 @@ def compare(name: str, parent: tuple[Path, float], change: tuple[Path, float]) -
             k: [sum_a.get(k), sum_b.get(k)] for k in SUMMARY_FIELDS if sum_a.get(k) != sum_b.get(k)
         },
         "peak_rank": [peak_rank(s) for s in series],
+        # [margin, step] per side: how close the nearest rank decision was;
+        # not in SUMMARY_FIELDS, since it drifts at roundoff
+        "min_threshold_margin": [
+            [s.get("min_threshold_margin"), s.get("min_threshold_margin_step")]
+            for s in (sum_a, sum_b)
+        ],
         "final_error": [err_a, err_b],
         "final_error_rel_change": (
             abs(err_b - err_a) / abs(err_a) if err_a and err_b is not None else None

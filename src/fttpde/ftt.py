@@ -336,7 +336,7 @@ def sketch_truncate(x: FttTensor, tol: float, ranks=None, a=None):
         full = [min(r, c) for r, c in zip(raw, _max_interface_ranks(x.domain))]
         ell = [min(f, h + SKETCH_OVERSAMPLING) for f, h in zip(full, ranks)]
     while ell is not None and 2 * sum(ell[1:-1]) <= sum(raw[1:-1]):
-        out, schmidt = truncate(_sketch_projection(x, a, raw, ell), tol)
+        out, schmidt = truncate(_sketch_projection(x, a, ell), tol)
         if all(
             ell[k] == full[k] or out.ranks[k] <= ell[k] - SKETCH_OVERSAMPLING // 2
             for k in range(1, d)
@@ -346,47 +346,57 @@ def sketch_truncate(x: FttTensor, tol: float, ranks=None, a=None):
     return truncate(x if a is None else apply_tt_matrix(a, x), tol)
 
 
-def _sketch_projection(x: FttTensor, a, raw, ell) -> FttTensor:
-    """One sketch of A x (raw ranks) at ranks ell, as in sketch_truncate."""
+# core k of A x contracted without forming it (a = None is the identity)
+
+def times_right(x: FttTensor, a, k: int, s: np.ndarray) -> np.ndarray:
+    """Core k of A x times s (R_k r_k, m) over its right rank: (R_{k-1} r_{k-1}, n, m)."""
+    if a is None:
+        return np.tensordot(x.cores[k], s, axes=(2, 0))
+    ra, n, _, rb = a[k].shape
+    t = np.tensordot(x.cores[k], s.reshape(rb, -1, s.shape[1]), axes=(2, 1))
+    t = np.tensordot(a[k], t, axes=([2, 3], [1, 2]))  # (ra, n, r_{k-1}, m)
+    return t.transpose(0, 2, 1, 3).reshape(ra * x.cores[k].shape[0], n, -1)
+
+
+def left_times(p: np.ndarray, x: FttTensor, a, k: int) -> np.ndarray:
+    """p (m, R_{k-1} r_{k-1}) times core k of A x over its left rank: (m, n, R_k r_k)."""
+    if a is None:
+        return np.tensordot(p, x.cores[k], axes=(1, 0))
+    ra, n = a[k].shape[:2]
+    t = np.tensordot(p.reshape(len(p), ra, -1), x.cores[k], axes=(2, 0))
+    t = np.tensordot(t, a[k], axes=([1, 2], [0, 2]))  # (m, r_k, n, rb)
+    return t.transpose(0, 2, 3, 1).reshape(len(p), n, -1)
+
+
+def right_envs(x: FttTensor, a, ys, weights) -> list:
+    """env[k], k = d..1: cores k.. of A x contracted with the cores ys[k].. of
+    another train over nodes weighted by weights[k].., shape (R_{k-1} r_{k-1},
+    ys[k].shape[0]); env[d] is 1 and env[0] is None."""
+    env = [None] * x.ndim + [np.ones((1, 1))]
+    for k in range(x.ndim - 1, 0, -1):
+        z = times_right(x, a, k, env[k + 1])
+        z *= weights[k][None, :, None]
+        env[k] = np.tensordot(z, ys[k], axes=([1, 2], [1, 2]))
+    return env
+
+
+def _sketch_projection(x: FttTensor, a, ell) -> FttTensor:
+    """One sketch of A x at ranks ell, as in sketch_truncate."""
     d = x.ndim
     weights = [g.weights for g in x.domain.axes]
-
-    def times_right(k, s):
-        # core k of A x times s (raw[k+1], m) over its right rank: (raw[k], n, m)
-        if a is None:
-            return np.tensordot(x.cores[k], s, axes=(2, 0))
-        _, n, _, rb = a[k].shape
-        t = np.tensordot(x.cores[k], s.reshape(rb, -1, s.shape[1]), axes=(2, 1))
-        t = np.tensordot(a[k], t, axes=([2, 3], [1, 2]))  # (ra, n, r_{k-1}, m)
-        return t.transpose(0, 2, 1, 3).reshape(raw[k], n, -1)
-
-    def left_times(p, k):
-        # p (m, raw[k]) times core k of A x over its left rank: (m, n, raw[k+1])
-        if a is None:
-            return np.tensordot(p, x.cores[k], axes=(1, 0))
-        ra, n = a[k].shape[:2]
-        t = np.tensordot(p.reshape(len(p), ra, -1), x.cores[k], axes=(2, 0))
-        t = np.tensordot(t, a[k], axes=([1, 2], [0, 2]))  # (m, r_k, n, rb)
-        return t.transpose(0, 2, 3, 1).reshape(len(p), n, raw[k + 1])
-
     rng = np.random.default_rng(0)
-    # sketches[k]: A x's cores k.. contracted with the Gaussian cores k..
-    # over the weighted nodes, shape (raw[k], ell[k])
-    sketches = [None] * (d + 1)
-    sketches[d] = np.ones((1, 1))
-    for k in range(d - 1, 0, -1):
-        y = rng.standard_normal((ell[k], x.cores[k].shape[1], ell[k + 1]))
-        z = times_right(k, sketches[k + 1])
-        z *= np.sqrt(weights[k])[None, :, None]
-        sketches[k] = np.tensordot(z, y, axes=([1, 2], [1, 2]))
+    ys = {
+        k: rng.standard_normal((ell[k], len(weights[k]), ell[k + 1])) for k in range(d - 1, 0, -1)
+    }
+    sketches = right_envs(x, a, ys, [np.sqrt(w) for w in weights])
     cores = []
     proj = np.ones((1, 1))
     for k in range(d - 1):
-        z = left_times(proj, k)
+        z = left_times(proj, x, a, k)
         q, _ = qr_core(np.tensordot(z, sketches[k + 1], axes=(2, 0)), weights[k], "left")
         cores.append(q)
         proj = np.tensordot(q * weights[k][None, :, None], z, axes=([0, 1], [0, 1]))
-    cores.append(left_times(proj, d - 1))
+    cores.append(left_times(proj, x, a, d - 1))
     return FttTensor(cores, x.domain)
 
 

@@ -13,9 +13,11 @@ from .ftt import (
     FttTensor,
     _check_same_domain,
     add,
+    left_times,
     norm,
     orthogonalize,
     qr_core,
+    right_envs,
     scale,
     sketch_truncate,
     truncate,
@@ -115,32 +117,17 @@ def lie_trotter_step(u: FttTensor, delta_u: FttTensor) -> FttTensor:
     d = u.ndim
     v = orthogonalize(u)
     weights = [g.weights for g in u.domain.axes]
-    dcores = delta_u.cores
-
-    # right environments: env[k] contracts the increment against the
-    # right-orthonormal solution cores on axes k..d-1 (0-based)
-    env = [None] * (d + 1)
-    env[d] = np.ones((1, 1))
-    for k in range(d - 1, 0, -1):
-        x = np.tensordot(dcores[k], env[k + 1], axes=(2, 0))  # (rd, n, ru)
-        x = x * weights[k][None, :, None]
-        env[k] = np.tensordot(x, v.cores[k], axes=([1, 2], [1, 2]))  # (rd_{k-1}, ru_{k-1})
-
-    left = np.ones((1, 1))  # (ru_left, rd_left)
+    env = right_envs(delta_u, None, v.cores, weights)
+    left = np.ones((1, 1))  # the output's cores ..k-1 against the increment's
     cores_out: list[np.ndarray] = []
     work = v.cores[0]
     for k in range(d - 1):
-        x = np.tensordot(left, dcores[k], axes=(1, 0))  # (ru, n, rd_k)
-        plus = np.tensordot(x, env[k + 1], axes=(2, 0))  # (ru, n, ru_k)
-        q, rfac = qr_core(work + plus, weights[k], "left")
+        z = left_times(left, delta_u, None, k)
+        q, rfac = qr_core(work + np.tensordot(z, env[k + 1], axes=(2, 0)), weights[k], "left")
         cores_out.append(q)
-        y = np.tensordot(q * weights[k][None, :, None], left, axes=(0, 0))  # (n, ru_k, rd)
-        left = np.tensordot(y, dcores[k], axes=([0, 2], [1, 0]))  # (ru_k, rd_k)
-        minus = left @ env[k + 1]
-        work = np.tensordot(rfac - minus, v.cores[k + 1], axes=(1, 0))
-    x = np.tensordot(left, dcores[d - 1], axes=(1, 0))
-    plus = np.tensordot(x, env[d], axes=(2, 0))
-    cores_out.append(work + plus)
+        left = np.tensordot(q * weights[k][None, :, None], z, axes=([0, 1], [0, 1]))
+        work = np.tensordot(rfac - left @ env[k + 1], v.cores[k + 1], axes=(1, 0))
+    cores_out.append(work + left_times(left, delta_u, None, d - 1))
     return FttTensor(cores_out, u.domain)
 
 

@@ -479,6 +479,40 @@ def test_split_sketch_peaks_below_the_formed_product(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# contractions with core k of A x, checked against the formed product
+
+def assert_close(got, want, rtol=1e-13):
+    assert got.shape == want.shape
+    assert np.linalg.norm(got - want) <= rtol * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("operator", ["identity", "rank_two", "fp4d"])
+def test_core_kernels_match_the_formed_product(operator, rng):
+    if operator == "fp4d":
+        prob = fp4d(n=7)
+        dom, a = prob.domain, prob.rhs.cores
+    else:
+        dom = torus_domain(3, 11)
+        a = None if operator == "identity" else rank_two_operator(dom).cores
+    d = dom.ndim
+    x = random_ftt(dom, (1,) + (3,) * (d - 1) + (1,), rng)
+    y = random_ftt(dom, (1,) + (4,) * (d - 1) + (1,), rng)
+    formed = x if a is None else ftt.apply_tt_matrix(a, x)
+    for k, core in enumerate(formed.cores):
+        s = rng.standard_normal((core.shape[2], 5))
+        p = rng.standard_normal((2, core.shape[0]))
+        assert_close(ftt.times_right(x, a, k, s), np.tensordot(core, s, axes=(2, 0)))
+        assert_close(ftt.left_times(p, x, a, k), np.tensordot(p, core, axes=(1, 0)))
+    weights = [g.weights for g in dom.axes]
+    env = ftt.right_envs(x, a, y.cores, weights)
+    assert env[0] is None and env[d].tolist() == [[1.0]]
+    want = np.ones((1, 1))
+    for k in range(d - 1, 0, -1):
+        want = np.einsum("aib,cid,bd,i->ac", formed.cores[k], y.cores[k], want, weights[k])
+        assert_close(env[k], want)
+
+
+# ---------------------------------------------------------------------------
 # add / scale / hadamard / inner / zero_pad
 
 def test_add_ranks_and_values(dom2, rng):

@@ -235,6 +235,20 @@ def test_fp_generator_integrates_to_zero():
 
 
 # ---------------------------------------------------------------------------
+# the dense references' own time-step error
+
+@pytest.mark.parametrize(
+    "builder, n, t", [(fp4d, 9, 0.02), (kse2d, 17, 0.002)], ids=["fp4d", "kse2d"]
+)
+def test_reference_step_error_is_negligible(builder, n, t):
+    # the default reference_dt against half of it, at a short horizon
+    ref = builder(n=n).reference
+    half = builder(n=n, reference_dt=ref.dt_ref / 2).reference
+    coarse, fine = ref.solution(t), half.solution(t)
+    assert np.linalg.norm(coarse - fine) <= 1e-9 * np.linalg.norm(fine)
+
+
+# ---------------------------------------------------------------------------
 # marginals and error metric
 
 def test_marginal_of_rank_one_product(dom4, rng):
