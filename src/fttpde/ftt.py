@@ -314,28 +314,25 @@ def sketch_truncate(x: FttTensor, tol: float, ranks=None, a=None):
     al., SISC 2023).
 
     ranks (length d+1) hints at the rounded ranks, e.g. those of the last
-    rounded tensor along the same trajectory; None means no hint.  Sketch
-    ranks are the hint plus SKETCH_OVERSAMPLING, capped by A x's ranks and
-    by the grid.  A x is contracted from the right with a Gaussian train
-    (fixed seed, so results are reproducible), then swept left to right: a
-    weighted QR of each sketched core, onto which the next core is
-    projected.  The projection ends in truncate.  If a rounded rank comes
-    within half the oversampling of its sketch rank, the sketch ranks
+    rounded tensor along the same trajectory.  Sketch ranks are the hint
+    plus SKETCH_OVERSAMPLING, or A x's ranks without a hint, capped by A
+    x's ranks and by the grid.  A x is contracted from the right with a
+    Gaussian train (fixed seed, so results are reproducible), then swept
+    left to right: a weighted QR of each sketched core, onto which the next
+    core is projected.  The projection ends in truncate.  If a rounded rank
+    comes within half the oversampling of its sketch rank, the sketch ranks
     double and the rounding is redone.  A x is never formed here: every
     contraction with one of its cores goes through x's core first and then
     through a's (as in randomized compression of operator-train products;
-    Camaño, Epperly & Tropp, 2025).  Falls back to
-    truncate(apply_tt_matrix(a, x), tol) (or truncate(x, tol)) when d < 3,
-    without a hint, or when the sketch ranks do not at least halve A x's
-    interior rank sum.
+    Camaño, Epperly & Tropp, 2025).  The one rule: the sketch runs only
+    while its ranks at least halve A x's interior rank sum, and otherwise
+    this is truncate(apply_tt_matrix(a, x), tol) (or truncate(x, tol)).
     """
     d = x.ndim
     raw = x.ranks if a is None else (1,) + tuple(c.shape[3] * r for c, r in zip(a, x.ranks[1:]))
-    ell = None
-    if d >= 3 and ranks is not None:
-        full = [min(r, c) for r, c in zip(raw, _max_interface_ranks(x.domain))]
-        ell = [min(f, h + SKETCH_OVERSAMPLING) for f, h in zip(full, ranks)]
-    while ell is not None and 2 * sum(ell[1:-1]) <= sum(raw[1:-1]):
+    full = [min(r, c) for r, c in zip(raw, _max_interface_ranks(x.domain))]
+    ell = full if ranks is None else [min(f, h + SKETCH_OVERSAMPLING) for f, h in zip(full, ranks)]
+    while 2 * sum(ell[1:-1]) <= sum(raw[1:-1]):
         out, schmidt = truncate(_sketch_projection(x, a, ell), tol)
         if all(
             ell[k] == full[k] or out.ranks[k] <= ell[k] - SKETCH_OVERSAMPLING // 2

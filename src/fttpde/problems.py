@@ -30,13 +30,14 @@ class ProblemSpec:
 class DenseRk4Reference:
     """Full tensor-product pseudo-spectral solve advanced incrementally:
     each request continues from the last one, so requests must not go back
-    in time."""
+    in time.  The reference takes u0 as its state without a copy, so the
+    caller must not write into it again."""
 
     def __init__(self, rhs_dense, u0: np.ndarray, dt_ref: float):
         self.rhs_dense = rhs_dense
         self.dt_ref = dt_ref
         self._t = 0.0
-        self._u = u0.copy()
+        self._u = u0
 
     def solution(self, t: float) -> np.ndarray:
         """State at time t, read-only: whole dt_ref steps, then one shorter
@@ -65,11 +66,12 @@ class CharacteristicsReference(DenseRk4Reference):
     """Semi-analytical advection solution: carry each node forward along the
     coefficient field for time t (the inverse of the flow that transports
     the solution) and evaluate the initial profile there.  The stacked node
-    positions are the state that the RK4 steps advance."""
+    positions are the state that the RK4 steps advance, 1e-3 apart: this
+    ODE is not stiff, so its step does not depend on the grid."""
 
-    def __init__(self, domain: Domain, velocity, ic_fn, ode_dt: float = 1e-3):
+    def __init__(self, domain: Domain, velocity, ic_fn):
         grids = np.meshgrid(*[g.nodes for g in domain.axes], indexing="ij")
-        super().__init__(velocity, np.stack(grids), ode_dt)
+        super().__init__(velocity, np.stack(grids), 1e-3)
         self.ic_fn = ic_fn
 
     def solution(self, t: float) -> np.ndarray:
@@ -139,7 +141,7 @@ def _advection_velocity(pos):
     return np.stack([np.sin(pos[0]) + np.cos(pos[1]), np.cos(pos[1])])
 
 
-def advection2d(n: int = 81, reference_dt: float = 1e-3) -> ProblemSpec:
+def advection2d(n: int = 81) -> ProblemSpec:
     """du/dt = (sin x1 + cos x2) d1u + cos x2 d2u on the 2-torus."""
     _check_memory(n**2, 36)
     dom = torus_domain(2, n)
@@ -158,9 +160,7 @@ def advection2d(n: int = 81, reference_dt: float = 1e-3) -> ProblemSpec:
     )
     x1, x2 = np.meshgrid(g1.nodes, g2.nodes, indexing="ij")
     initial = from_full(_advection_ic(x1, x2), dom, 0.0, max_ranks=(1, 15, 1))
-    reference = CharacteristicsReference(
-        dom, _advection_velocity, _advection_ic, ode_dt=reference_dt
-    )
+    reference = CharacteristicsReference(dom, _advection_velocity, _advection_ic)
     return ProblemSpec("advection2d", dom, op, initial, reference)
 
 
@@ -170,10 +170,11 @@ def advection2d(n: int = 81, reference_dt: float = 1e-3) -> ProblemSpec:
 KSE_NU1, KSE_NU2 = 0.25, 0.04
 
 
-def kse2d(n: int = 33, reference_dt: float = 1e-5) -> ProblemSpec:
+def kse2d(n: int = 33) -> ProblemSpec:
     """du/dt = -1/2 |grad_nu u|^2 - lap_nu u - nu1 lap_nu^2 u on the 2-torus,
     nu1, nu2 = KSE_NU1, KSE_NU2, with the anisotropy nu = nu2/nu1 entering
-    the y-direction operators."""
+    the y-direction operators.  The reference step, 1e-5 up to n = 33,
+    shrinks as n^-4 above it, as RK4's limit under the n^4 term does."""
     _check_memory(n**2, 36)
     nu1 = KSE_NU1
     nu = KSE_NU2 / nu1
@@ -213,7 +214,7 @@ def kse2d(n: int = 33, reference_dt: float = 1e-5) -> ProblemSpec:
         uy = u @ d1.T
         return -0.5 * (ux**2 + nu**2 * uy**2) + ax @ u + u @ ay.T + axy @ u @ d2.T
 
-    reference = DenseRk4Reference(rhs_dense, ic, dt_ref=reference_dt)
+    reference = DenseRk4Reference(rhs_dense, ic, dt_ref=1e-5 * min(1.0, (33 / n) ** 4))
     return ProblemSpec(
         "kse2d", dom, composite, initial, reference, params={"nu1": nu1, "nu2": KSE_NU2, "nu": nu}
     )
@@ -304,10 +305,12 @@ def _two_products(pair, x: np.ndarray, out: np.ndarray, work: np.ndarray) -> Non
     np.add(out, work, out=out)
 
 
-def fp4d(n: int = 21, reference_dt: float = 1e-3) -> ProblemSpec:
+def fp4d(n: int = 21) -> ProblemSpec:
     """dp/dt = L p on the 4-torus with sinusoidal drift and g^2 = 1 + k sin
     diffusion coefficients; the initial profile is a rank-1 product of sines
-    normalized by its L1 norm (integral of |sin| is 4 per axis, so 256)."""
+    normalized by its L1 norm (integral of |sin| is 4 per axis, so 256).
+    The reference step, 1e-3 (half RK4's stability limit) up to n = 21,
+    shrinks as n^-2 above it, as that limit under diffusion does."""
     _check_memory(n**4, 8)
     dom = torus_domain(4, n)
     pairs = fp4d_stacks(dom)
@@ -319,7 +322,7 @@ def fp4d(n: int = 21, reference_dt: float = 1e-3) -> ProblemSpec:
     def rhs_dense(p):
         return apply_fp4d_stacks(pairs, p)
 
-    reference = DenseRk4Reference(rhs_dense, dense_ic, dt_ref=reference_dt)
+    reference = DenseRk4Reference(rhs_dense, dense_ic, dt_ref=1e-3 * min(1.0, (21 / n) ** 2))
     params = {"alpha": FP4D_ALPHA, "beta": FP4D_BETA, "k": FP4D_K}
     return ProblemSpec("fp4d", dom, op, initial, reference, params=params)
 
@@ -331,11 +334,8 @@ PROBLEM_BUILDERS = {
 }
 
 
-def build_problem(
-    name: str, n: int | None = None, reference_dt: float | None = None
-) -> ProblemSpec:
-    """Build a benchmark problem; n and reference_dt default to the builder's own."""
+def build_problem(name: str, n: int | None = None) -> ProblemSpec:
+    """Build a benchmark problem; n defaults to the builder's own."""
     if name not in PROBLEM_BUILDERS:
         raise ValueError(f"unknown problem {name!r}; choose from {sorted(PROBLEM_BUILDERS)}")
-    kwargs = {"n": n, "reference_dt": reference_dt}
-    return PROBLEM_BUILDERS[name](**{k: v for k, v in kwargs.items() if v is not None})
+    return PROBLEM_BUILDERS[name]() if n is None else PROBLEM_BUILDERS[name](n)

@@ -31,15 +31,12 @@ class RunConfig(IntegratorConfig):
     t_final: float
     max_ranks: tuple[int, ...] | None = None
     reference: bool = True
-    reference_dt: float | None = None
     output_dir: str | None = None
     snapshot_every: int = 0
     n: int | None = None
 
     def __post_init__(self):
         super().__post_init__()
-        if self.reference_dt is not None and not 0 < self.reference_dt < math.inf:
-            raise ValueError(f"reference_dt must be positive and finite, got {self.reference_dt}")
         if self.snapshot_every < 0:
             raise ValueError(f"snapshot_every must be nonnegative, got {self.snapshot_every}")
         ratio = self.t_final / self.dt
@@ -106,7 +103,7 @@ def _validated_setup(config: RunConfig):
     for any invalid value before a run writes anything."""
     try:
         # unknown problem, or too few or too many grid points
-        problem = build_problem(config.problem, n=config.n, reference_dt=config.reference_dt)
+        problem = build_problem(config.problem, n=config.n)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     d = problem.domain.ndim
@@ -179,6 +176,7 @@ def run_experiment(config: RunConfig, output_dir=None) -> dict:
             for key, val in problem.params.items():
                 fh.write(f"param:{key} = {val}\n")
             fh.write(f"grid = {'x'.join(str(n) for n in dom.shape)}\n")
+            fh.write(f"reference_dt = {problem.reference.dt_ref}\n")
             fh.write(f"n_steps = {n_steps}\n")
             fh.write(f"numpy = {np.__version__}\n")
             fh.write(f"blas_threads = {blas_threads}\n")

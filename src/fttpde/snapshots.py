@@ -89,6 +89,7 @@ def _read_header(fh):
 
 
 def load(path) -> FttTensor:
+    """Read a snapshot; its cores are read-only views of the file's bytes."""
     with open(path, "rb") as fh:
         axes, ranks = _read_header(fh)
         grids = tuple(make_periodic_grid(n, a, b) for n, a, b in axes)
@@ -96,7 +97,7 @@ def load(path) -> FttTensor:
         for k, g in enumerate(grids):
             shape = (ranks[k], g.n, ranks[k + 1])
             buf = _read(fh, 8 * shape[0] * shape[1] * shape[2])
-            cores.append(np.frombuffer(buf, dtype="<f8").reshape(shape).copy())
+            cores.append(np.frombuffer(buf, dtype="<f8").reshape(shape))
     return FttTensor(cores, Domain(axes=grids))
 
 

@@ -346,7 +346,7 @@ def test_sketch_truncate_is_reproducible(rng):
 
 @pytest.mark.parametrize(
     "d, hint",
-    [(2, (1, 1, 1)), (3, (1, 30, 30, 1)), (3, None)],
+    [(2, (1, 20, 1)), (3, (1, 30, 30, 1)), (3, None)],
     ids=["two_axes", "hint_does_not_halve", "no_hint"],
 )
 def test_sketch_truncate_falls_back_to_truncate(d, hint, rng):
@@ -440,16 +440,13 @@ def test_split_sketch_is_reproducible(rng):
 
 
 def test_split_sketch_falls_back_to_the_formed_product():
-    # two axes: advection never sketches
-    prob = advection2d(n=17)
-    u = prob.initial
-    out = eval_rhs(prob.rhs, u, (1, 1, 1))
-    assert_same_bytes(out, truncate(apply_separable(prob.rhs, u), operators.G_TOL)[0])
-    # fp4d with a hint whose sketch ranks do not halve the raw ranks
-    prob, u, _ = list(fp4d_states(5))[-1]
-    raw = apply_separable(prob.rhs, u)
-    out = eval_rhs(prob.rhs, u, raw.ranks)
-    assert_same_bytes(out, truncate(raw, operators.G_TOL)[0])
+    # a hint whose sketch ranks do not halve the raw ranks, on two axes
+    # (advection's rank 15 under its rank-3 operator) and on four
+    advection = advection2d(n=33)
+    for prob, u in [(advection, advection.initial), list(fp4d_states(5))[-1][:2]]:
+        raw = apply_separable(prob.rhs, u)
+        out = eval_rhs(prob.rhs, u, raw.ranks)
+        assert_same_bytes(out, truncate(raw, operators.G_TOL)[0])
 
 
 def test_split_sketch_without_a_hint_truncates_the_formed_product(rng):
@@ -460,6 +457,28 @@ def test_split_sketch_without_a_hint_truncates_the_formed_product(rng):
     ref, ref_schmidt = truncate(ftt.apply_tt_matrix(a, x), 1e-10)
     assert_same_bytes(out, ref)
     assert all(s.tobytes() == r.tobytes() for s, r in zip(schmidt, ref_schmidt))
+
+
+def test_split_sketch_runs_on_two_axes(rng, monkeypatch):
+    # a rank-3 function padded to rank 24 under a rank-2 operator: a hint of 6
+    # gives sketch rank 16, which halves A x's raw rank 48, so the one rule
+    # sketches in two dimensions as in more
+    dom = torus_domain(2, 48)
+    x = add(random_ftt(dom, (1, 3, 1), rng), scale(random_ftt(dom, (1, 21, 1), rng), 0.0))
+    grid = dom.axes[0]
+    a = separable([(grid.diff1, None), (None, np.diag(np.cos(grid.nodes)))], dom).cores
+    sketched, projection = [], ftt._sketch_projection
+
+    def spy(x, a, ell):
+        sketched.append(list(ell))
+        return projection(x, a, ell)
+
+    monkeypatch.setattr(ftt, "_sketch_projection", spy)
+    out, _ = sketch_truncate(x, operators.G_TOL, (1, 6, 1), a)
+    ref, _ = truncate(ftt.apply_tt_matrix(a, x), operators.G_TOL)
+    assert sketched == [[1, 16, 1]]
+    assert out.ranks == ref.ranks == (1, 6, 1)
+    assert relative_error(out, ref) <= operators.G_TOL
 
 
 def test_split_sketch_peaks_below_the_formed_product(monkeypatch):

@@ -22,6 +22,13 @@ from fttpde.problems import (
 from conftest import advection2d_rhs_dense, kron_matrix, random_ftt, weighted_dense_norm
 
 
+def reference_at(builder, n, dt_ref):
+    """builder(n)'s reference, set to step at dt_ref before its first request."""
+    ref = builder(n=n).reference
+    ref.dt_ref = dt_ref
+    return ref
+
+
 # ---------------------------------------------------------------------------
 # advection
 
@@ -57,15 +64,15 @@ def test_advection_reference_at_t0():
 
 
 def test_advection_reference_self_convergence():
-    a = advection2d(n=33, reference_dt=1e-3).reference.solution(0.5)
-    b = advection2d(n=33, reference_dt=5e-4).reference.solution(0.5)
+    a = advection2d(n=33).reference.solution(0.5)
+    b = reference_at(advection2d, 33, 5e-4).solution(0.5)
     assert np.max(np.abs(a - b)) <= 1e-8
 
 
 def test_advection_reference_fourth_order_in_ode_dt():
-    tiny = advection2d(n=21, reference_dt=1e-4).reference.solution(0.5)
+    tiny = reference_at(advection2d, 21, 1e-4).solution(0.5)
     errs = [
-        np.max(np.abs(advection2d(n=21, reference_dt=dt).reference.solution(0.5) - tiny))
+        np.max(np.abs(reference_at(advection2d, 21, dt).solution(0.5) - tiny))
         for dt in (2e-2, 1e-2)
     ]
     order = np.log(errs[0] / errs[1]) / np.log(2.0)
@@ -122,8 +129,7 @@ def test_dense_reference_hands_out_its_state_read_only(dom2, rng):
         return -u
 
     ref = DenseRk4Reference(rhs_dense, u0, dt_ref=1e-3)
-    u0[0, 0] = 7.0  # the reference keeps its own copy of the initial state
-    assert ref.solution(0.0)[0, 0] != 7.0
+    assert ref.solution(0.0) is u0  # the reference takes u0 without a copy
     got = ref.solution(0.002)
     assert not got.flags.writeable
     with pytest.raises(ValueError):
@@ -157,7 +163,7 @@ def test_dense_reference_lands_exactly_between_steps(dom2, rng):
     ref = advection2d(n=33).reference
     ref.solution(0.1)
     got = ref.solution(0.1005)
-    fresh = advection2d(n=33, reference_dt=5e-4).reference.solution(0.1005)
+    fresh = reference_at(advection2d, 33, 5e-4).solution(0.1005)
     assert np.max(np.abs(got - fresh)) <= 1e-13
 
 
@@ -241,11 +247,30 @@ def test_fp_generator_integrates_to_zero():
     "builder, n, t", [(fp4d, 9, 0.02), (kse2d, 17, 0.002)], ids=["fp4d", "kse2d"]
 )
 def test_reference_step_error_is_negligible(builder, n, t):
-    # the default reference_dt against half of it, at a short horizon
+    # the builder's reference step against half of it, at a short horizon
     ref = builder(n=n).reference
-    half = builder(n=n, reference_dt=ref.dt_ref / 2).reference
+    half = reference_at(builder, n, ref.dt_ref / 2)
     coarse, fine = ref.solution(t), half.solution(t)
     assert np.linalg.norm(coarse - fine) <= 1e-9 * np.linalg.norm(fine)
+
+
+@pytest.mark.parametrize("n", [21, 33])
+def test_fp4d_reference_step_is_inside_rk4_stability(n):
+    # RK4's real stability interval is about 2.79; a power iteration reads
+    # the generator's spectral radius from below, so keep a margin under it
+    ref = fp4d(n=n).reference
+    v = np.random.default_rng(0).standard_normal((n,) * 4)
+    for _ in range(60):
+        w = ref.rhs_dense(v / np.linalg.norm(v))
+        radius, v = np.linalg.norm(w), w
+    assert ref.dt_ref * radius <= 2.0
+
+
+def test_kse2d_reference_stays_bounded_on_a_fine_grid():
+    # at the n = 33 step of 1e-5 this reference overflows to NaN by t = 0.002
+    u = kse2d(n=65).reference.solution(0.002)
+    assert np.all(np.isfinite(u))
+    assert np.max(np.abs(u)) < 10.0
 
 
 # ---------------------------------------------------------------------------

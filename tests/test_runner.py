@@ -343,6 +343,8 @@ def test_run_log_echoes_parameters(small_run):
     keys = [line.split(" = ")[0] for line in text.splitlines()]
     for f in fields(RunConfig):
         assert keys.count(f.name) == 1, f.name
+    # the step the reference took, which the problem set from its grid
+    assert "reference_dt = 0.001" in text.splitlines()
 
 
 def test_run_log_records_numeric_environment(small_run):
@@ -450,14 +452,17 @@ def test_cli_bad_config_exit_code(tmp_path, capsys):
         # with eps_inc set must not run as an adaptive run
         ("problem = advection2d\nscheme = fixed_rank\ndt = 1e-3\nt_final = 0.01\n"
          "eps_inc = 1e-2\nn = 21\n", "line 2: unknown key 'scheme'"),
+        # each problem sets its own reference step from its grid
+        ("problem = fp4d\ndt = 1e-3\nt_final = 0.01\nreference_dt = 1e-4\n",
+         "line 4: unknown key 'reference_dt'"),
         ("problem = advection2d\ndt = 1e-3\nt_final = 0.0026\nn = 21\n",
          "whole number of steps"),
         ("problem = advection2d\ndt = 1e-3\nt_final = 0.01\n"
          "n = 10000000\n", "grid too large"),
         (b"problem = fp4d\xff\n", "cannot read config file: 'utf-8' codec can't decode"),
     ],
-    ids=["max_ranks_length", "too_few_points", "unknown_scheme", "fractional_steps",
-         "oversize_grid", "not_utf8"],
+    ids=["max_ranks_length", "too_few_points", "unknown_scheme", "unknown_reference_dt",
+         "fractional_steps", "oversize_grid", "not_utf8"],
 )
 def test_cli_rejects_invalid_config_before_writing(tmp_path, capsys, text, message):
     cfg = write_cfg(tmp_path, text)
@@ -499,12 +504,11 @@ BAD_SETTINGS = pytest.mark.parametrize(
         ("dt = inf", "dt"),
         ("dec_period = -1", "dec_period"),
         ("snapshot_every = -1", "snapshot_every"),
-        ("reference_dt = inf", "reference_dt"),
         ("t_final = 0.0026", "t_final"),
     ],
     ids=[
         "eps_dec_nan", "eps_inc_nan", "dt_inf", "dec_period_negative", "snapshot_every_negative",
-        "reference_dt_inf", "fractional_steps",
+        "fractional_steps",
     ],
 )
 
@@ -746,6 +750,15 @@ def test_blowup_aborts_with_lastgood_snapshot(tmp_path, capsys):
 
 # ---------------------------------------------------------------------------
 # README
+
+
+def test_readme_config_table_names_every_run_config_field():
+    # the config-key table of README's Config format section, first column
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("### Config format", 1)[1].split("\n#", 1)[0]
+    rows = [line.split("|")[1] for line in section.splitlines() if line.startswith("| `")]
+    keys = [key for row in rows for key in re.findall(r"`(\w+)`", row)]
+    assert sorted(keys) == sorted(f.name for f in fields(RunConfig))
 
 
 def test_readme_library_names_resolve():

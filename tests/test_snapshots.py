@@ -8,8 +8,10 @@ from hypothesis import given, settings, strategies as st
 from fttpde import snapshots
 from fttpde.ftt import to_full
 from fttpde.grids import torus_domain
+from fttpde.integrators import AdaptiveState, IntegratorConfig, adaptive_step
+from fttpde.problems import advection2d
 
-from conftest import random_ftt
+from conftest import assert_same_bytes, random_ftt
 
 
 def test_round_trip_bit_identical(tmp_path, rng):
@@ -23,6 +25,23 @@ def test_round_trip_bit_identical(tmp_path, rng):
         assert a.tobytes() == b.tobytes()
     snapshots.save(v, tmp_path / "v.fttsnap")
     assert (tmp_path / "u.fttsnap").read_bytes() == (tmp_path / "v.fttsnap").read_bytes()
+
+
+def test_loaded_cores_are_read_only_and_a_run_steps_from_them(tmp_path):
+    # load hands back views of the file's bytes, and no kernel writes a core:
+    # steps with additions and removals match those from the saved train
+    prob = advection2d(n=17)
+    path = tmp_path / "u.fttsnap"
+    snapshots.save(prob.initial, path)
+    u = snapshots.load(path)
+    assert not any(c.flags.writeable for c in u.cores)
+    cfg = IntegratorConfig(dt=1e-3, eps_inc=1e-4, eps_dec=1e-12, dec_period=2)
+    loaded, saved = AdaptiveState.initial(u), AdaptiveState.initial(prob.initial)
+    for _ in range(4):
+        loaded = adaptive_step(loaded, prob.rhs, cfg)
+        saved = adaptive_step(saved, prob.rhs, cfg)
+    assert [rec.event for rec in loaded.logs] == [rec.event for rec in saved.logs]
+    assert_same_bytes(loaded.u, saved.u)
 
 
 def test_magic_header(tmp_path, rng):
